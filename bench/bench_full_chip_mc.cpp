@@ -1,14 +1,13 @@
 // Monte-Carlo engine throughput and run-control overhead: trials/s of the
 // full-chip MC reference across a thread-scaling sweep (1/2/4/8 workers),
-// the bucketed vs per-gate evaluation paths, the cost of periodic
-// checkpointing, the cost of carrying an unarmed RunControl token, the cost
-// of the always-on metrics instrumentation (the mc.trials counter: one
-// relaxed fetch_add per trial; asserted <= 2% by --smoke, see DESIGN.md
-// "Observability"), and the
-// cost of running the same work through the batch service layer's queue /
-// retry / watchdog machinery with nothing armed (acceptance: <= 2% for the
-// token, checkpoint, and metrics configurations — a handful of relaxed atomic loads
-// per trial plus one buffered state stream per cadence).
+// the cost of periodic checkpointing, the cost of carrying an unarmed
+// RunControl token, the cost of the always-on metrics instrumentation (the
+// mc.trials counter: one relaxed fetch_add per trial; asserted <= 2% by
+// --smoke, see DESIGN.md "Observability"), and the cost of running the same
+// work through the batch service layer's queue / retry / watchdog machinery
+// with nothing armed (acceptance: <= 2% for the token, checkpoint, and
+// metrics configurations — a handful of relaxed atomic loads per trial plus
+// one buffered state stream per cadence).
 //
 // `bench_full_chip_mc --mc-json[=PATH]` writes the records to
 // BENCH_full_chip_mc.json in addition to the stdout table. The JSON carries
@@ -56,7 +55,6 @@ netlist::UsageHistogram bench_usage() {
 
 struct McRecord {
   std::string config;
-  std::string eval;  // "bucketed" or "per-gate"
   std::size_t trials = 0;
   std::size_t threads = 0;
   std::size_t sites = 0;
@@ -188,9 +186,9 @@ unsigned cpu_count() {
   return hw == 0 ? 1 : hw;
 }
 
-/// CI regression guard: tiny run, serial vs 4 threads, both eval paths.
-/// Exits non-zero when threaded throughput regresses below serial on a
-/// multi-CPU runner.
+/// CI regression guard: tiny run, serial vs 4 threads, plus the metrics
+/// overhead budget. Exits non-zero when threaded throughput regresses below
+/// serial on a multi-CPU runner.
 int run_smoke() {
   const std::size_t side = 16;
   math::Rng gen(1);
@@ -206,20 +204,16 @@ int run_smoke() {
   mc::FullChipMcOptions serial = base;
   mc::FullChipMcOptions threaded = base;
   threaded.threads = 4;
-  mc::FullChipMcOptions per_gate = base;
-  per_gate.eval_path = mc::McEvalPath::kPerGate;
 
   mc::FullChipMcOptions metrics_off = base;
   metrics_off.metrics = false;
 
   run_once(pl, threaded);  // warm the shared pool and table caches
-  const std::vector<double> t = best_of_interleaved(pl, {serial, threaded, per_gate}, 3);
+  const std::vector<double> t = best_of_interleaved(pl, {serial, threaded}, 3);
   const double serial_tps = 1000.0 * static_cast<double>(base.trials) / t[0];
   const double threaded_tps = 1000.0 * static_cast<double>(base.trials) / t[1];
-  const double per_gate_tps = 1000.0 * static_cast<double>(base.trials) / t[2];
-  std::printf("smoke: serial %.1f trials/s, threaded(4) %.1f trials/s, per-gate %.1f trials/s, "
-              "cpus %u\n",
-              serial_tps, threaded_tps, per_gate_tps, cpu_count());
+  std::printf("smoke: serial %.1f trials/s, threaded(4) %.1f trials/s, cpus %u\n", serial_tps,
+              threaded_tps, cpu_count());
 
   // Observability budget: metrics-armed (the default config) vs metrics-off,
   // same seed and trial stream. The real cost is one relaxed fetch_add per
@@ -319,7 +313,6 @@ int main(int argc, char** argv) {
                           double ms, double baseline_ms) {
     McRecord r;
     r.config = config;
-    r.eval = opts.eval_path == mc::McEvalPath::kBucketed ? "bucketed" : "per-gate";
     r.trials = kTrials;
     r.threads = opts.threads;
     r.sites = side * side;
@@ -329,14 +322,13 @@ int main(int argc, char** argv) {
     r.peak_rss_kb = bench::peak_rss_kb();
     r.budget_peak_bytes = bench::budget_peak_bytes();
     records.push_back(r);
-    std::printf("%-28s threads %zu  %-9s %9.2f ms  %9.1f trials/s  overhead %+6.2f%%\n",
-                config.c_str(), opts.threads, r.eval.c_str(), ms, r.trials_per_s,
-                r.overhead_pct);
+    std::printf("%-28s threads %zu  %9.2f ms  %9.1f trials/s  overhead %+6.2f%%\n",
+                config.c_str(), opts.threads, ms, r.trials_per_s, r.overhead_pct);
     return ms;
   };
 
-  // Thread-scaling sweep and the bucketed / per-gate A/B, interleaved so
-  // machine-load drift hits every configuration equally.
+  // Thread-scaling sweep, interleaved so machine-load drift hits every
+  // configuration equally.
   {
     std::vector<mc::FullChipMcOptions> sweep;
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4},
@@ -345,13 +337,6 @@ int main(int argc, char** argv) {
       o.threads = threads;
       sweep.push_back(o);
     }
-    mc::FullChipMcOptions serial_per_gate = base;
-    serial_per_gate.threads = 1;
-    serial_per_gate.eval_path = mc::McEvalPath::kPerGate;
-    sweep.push_back(serial_per_gate);
-    mc::FullChipMcOptions threaded_per_gate = serial_per_gate;
-    threaded_per_gate.threads = kThreaded;
-    sweep.push_back(threaded_per_gate);
 
     run_once(pl, sweep[3]);  // warm the shared pool (8 workers) and caches
     const std::vector<double> t = best_of_interleaved(pl, sweep, kReps);
@@ -359,8 +344,6 @@ int main(int argc, char** argv) {
     record("threads-2", sweep[1], t[1], 0.0);
     record("threads-4", sweep[2], t[2], 0.0);
     record("threads-8", sweep[3], t[3], 0.0);
-    record("serial-per-gate", sweep[4], t[4], t[0]);
-    record("threads-4-per-gate", sweep[5], t[5], t[2]);
   }
 
   util::RunControl unarmed;  // attached but never armed: the fast path
@@ -425,12 +408,12 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < records.size(); ++i) {
       const McRecord& r = records[i];
       std::fprintf(f,
-                   "%s    {\"config\": \"%s\", \"method\": \"mc\", \"eval\": \"%s\", "
+                   "%s    {\"config\": \"%s\", \"method\": \"mc\", "
                    "\"trials\": %zu, \"threads\": %zu, \"sites\": %zu, \"wall_ms\": %.4f, "
                    "\"trials_per_s\": %.2f, \"overhead_pct\": %.3f, "
                    "\"peak_rss_kb\": %.0f, \"budget_peak_bytes\": %llu}",
-                   i == 0 ? "" : ",\n", r.config.c_str(), r.eval.c_str(), r.trials, r.threads,
-                   r.sites, r.wall_ms, r.trials_per_s, r.overhead_pct, r.peak_rss_kb,
+                   i == 0 ? "" : ",\n", r.config.c_str(), r.trials, r.threads, r.sites,
+                   r.wall_ms, r.trials_per_s, r.overhead_pct, r.peak_rss_kb,
                    static_cast<unsigned long long>(r.budget_peak_bytes));
     }
     std::fprintf(f, "\n  ]\n}\n");

@@ -73,7 +73,7 @@ inline double peak_rss_kb() {
 /// High-water mark of bytes charged against the process MemoryBudget by the
 /// tracked arenas (FFT plans, sampler caches, MC worker workspaces). With no
 /// limit set, charging is pure bookkeeping — this is the number
-/// MemoryCostModel::from_bench_json calibrates admission control from.
+/// CostModel::from_bench_json calibrates admission control from.
 inline std::uint64_t budget_peak_bytes() {
   return util::MemoryBudget::process().peak();
 }

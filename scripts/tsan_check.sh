@@ -16,6 +16,9 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 # registry mutex, snapshot readers racing recorders) under real threads.
 "$BUILD"/tests/util_tests --gtest_filter='ThreadPool.*:*Metrics*'
 "$BUILD"/tests/core_tests --gtest_filter='*Concurrent*:*ThreadCounts*:*FftPathMatchesDirectPath*'
+# *Threaded*: threaded MC runs (statistics and determinism, fixed and
+# resampled states) and the threaded checkpointed run race the per-worker
+# workspaces and the background checkpoint flusher.
 "$BUILD"/tests/mc_tests --gtest_filter='*Threaded*'
 # The service layer's shared-state hot spots: blocked producers/consumers on
 # the bounded queue, the shared retry budget, workers appending to one

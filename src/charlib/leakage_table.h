@@ -30,8 +30,8 @@ class LeakageTable {
 
   /// Batched lookup: out_na[i] = leakage at l_nm[i], for i in [0, n). The
   /// contiguous ln(I) gather feeds one math::vexp pass, so the whole batch
-  /// auto-vectorizes and performs zero allocations — the Monte-Carlo
-  /// engine's bucketed hot path. In-place (out_na == l_nm) is allowed.
+  /// auto-vectorizes and performs zero allocations (perfbench's table-eval
+  /// probe times it). In-place (out_na == l_nm) is allowed.
   /// Agrees with eval_na to a few ULP (the scalar path uses std::exp and a
   /// division where this path uses vexp and a precomputed reciprocal); see
   /// tests/charlib/test_leakage_table.cpp for the asserted bound.

@@ -3,7 +3,7 @@
 #include <cmath>
 #include <sstream>
 
-#include "core/memory_cost.h"
+#include "core/cost_model.h"
 #include "math/fft.h"
 #include "util/failpoint.h"
 #include "util/metrics.h"
@@ -247,7 +247,7 @@ LeakageEstimate ExactEstimator::estimate_direct(const placement::Placement& plac
   // against the process memory budget for the duration of the estimate.
   RGLEAK_FAILPOINT("core.exact.direct.alloc");
   const util::MemoryReservation arena(
-      MemoryCostModel::exact_direct_bytes(n, fp.rows, fp.cols), "core.exact.direct");
+      CostModel::exact_direct_bytes(n, fp.rows, fp.cols), "core.exact.direct");
 
   // Pre-resolve gate types/coordinates and warm the pair grids for used
   // types, so the tiled loop below is read-only on shared state.
@@ -323,8 +323,7 @@ LeakageEstimate ExactEstimator::estimate_fft(const placement::Placement& placeme
   // the library's full type count (an upper bound; released at return).
   RGLEAK_FAILPOINT("core.exact.fft.alloc");
   const util::MemoryReservation arena(
-      MemoryCostModel::exact_fft_bytes(k, m,
-                                       mode_ == CorrelationMode::kSimplified ? 1 : num_types_),
+      CostModel::exact_fft_bytes(k, m, mode_ == CorrelationMode::kSimplified ? 1 : num_types_),
       "core.exact.fft");
 
   const std::vector<double> rho = offset_rho(fp);

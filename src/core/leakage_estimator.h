@@ -8,9 +8,9 @@
 #include <cstddef>
 #include <optional>
 
+#include "core/cost_model.h"
 #include "core/estimate.h"
 #include "core/estimators.h"
-#include "core/method_cost.h"
 #include "core/random_gate.h"
 #include "core/signal_probability.h"
 #include "util/run_control.h"
@@ -50,8 +50,8 @@ struct EstimatorConfig {
   /// cancelled by the armed deadline and answered by the next one. The
   /// result records the rung that answered and why it degraded.
   double time_budget_s = 0.0;
-  /// Cost models behind the budget decisions; calibrate from a bench record
-  /// via CostModel::from_bench_json to pin them to the host.
+  /// Cost model behind the budget decisions; calibrate from a bench record
+  /// via CostModel::from_bench_json to pin it to the host.
   CostModel cost_model = CostModel::defaults();
   /// External stop source (SIGINT handler, batch watchdog): polled by the
   /// linear rung, and linked as the parent of the budgeted path's internal

@@ -1,8 +1,8 @@
 #pragma once
-// Batched exponential kernel for the Monte-Carlo hot path.
+// Batched exponential kernel behind LeakageTable::eval_many_na.
 //
-// std::exp is accurate but scalar: one call per table lookup keeps the
-// full-chip MC trial loop from vectorizing. vexp() evaluates exp() over a
+// std::exp is accurate but scalar: one call per table lookup keeps a batch
+// of lookups from vectorizing. vexp() evaluates exp() over a
 // contiguous array with a branch-free range-reduction + polynomial scheme
 // (round-to-nearest power-of-two split, degree-13 Taylor on |r| <= ln2/2,
 // exponent bit-stuffing) that compilers auto-vectorize. Accuracy is

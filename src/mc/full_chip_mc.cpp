@@ -11,7 +11,7 @@
 #include <thread>
 #include <utility>
 
-#include "core/memory_cost.h"
+#include "core/cost_model.h"
 #include "mc/checkpoint.h"
 #include "util/atomic_file.h"
 #include "util/failpoint.h"
@@ -25,10 +25,8 @@ namespace rgleak::mc {
 namespace {
 
 /// Neumaier-compensated accumulator: the per-trial totals sum thousands of
-/// leakage values spanning orders of magnitude, and the bucketed path visits
-/// them in a different order than the per-gate path. Compensation makes both
-/// orders agree to ~1 ULP of the true sum, which is what lets the paths be
-/// cross-validated against a tight tolerance.
+/// leakage values spanning orders of magnitude; compensation keeps each total
+/// within ~1 ULP of the true sum whatever the gate order.
 struct CompensatedSum {
   double sum = 0.0;
   double comp = 0.0;
@@ -159,11 +157,7 @@ FullChipMonteCarlo::FullChipMonteCarlo(const placement::Placement& placement,
              chars.process().anisotropy()),
       rng_(options.seed) {
   RGLEAK_REQUIRE(options_.trials >= 2, "MC needs at least two trials");
-  const std::size_t n = placement.netlist().size();
-  RGLEAK_REQUIRE(n <= UINT32_MAX && placement.floorplan().num_sites() <= UINT32_MAX,
-                 "MC bucketing indexes gates and sites with 32 bits");
-  state_.resize(n);
-  table_id_.resize(n);
+  table_id_.resize(placement.netlist().size());
   draw_states(rng_);
 }
 
@@ -175,10 +169,8 @@ void FullChipMonteCarlo::draw_states(math::Rng& rng) {
     std::uint32_t s = 0;
     for (int bit = 0; bit < cell.num_inputs(); ++bit)
       if (rng.bernoulli(options_.signal_probability)) s |= (1u << bit);
-    state_[g] = s;
     table_id_[g] = table_for(ci, s);
   }
-  ws_.buckets_built = false;
 }
 
 std::uint32_t FullChipMonteCarlo::table_for(std::size_t cell_index, std::uint32_t state) {
@@ -192,8 +184,7 @@ std::uint32_t FullChipMonteCarlo::table_for(std::size_t cell_index, std::uint32_
   auto table = std::make_unique<charlib::LeakageTable>(
       chars_->library().cell(cell_index), state, chars_->library().tech(),
       std::max(mu - span, 1.0), mu + std::max(span, 1e-3), options_.table_points);
-  const auto id = static_cast<std::uint32_t>(table_list_.size());
-  table_list_.push_back(table.get());
+  const auto id = static_cast<std::uint32_t>(tables_.size());
   tables_.push_back(std::move(table));
   table_index_.emplace(key, id);
   return id;
@@ -227,60 +218,6 @@ void FullChipMonteCarlo::draw_states_into(math::Rng& rng,
   }
 }
 
-void FullChipMonteCarlo::build_buckets(McWorkspace& ws, bool merge_duplicates) const {
-  // Counting sort of gates by table id: O(gates + tables), no comparisons,
-  // and every buffer reuses its capacity across rebuilds (per-trial state
-  // resampling rebuilds buckets every trial without allocating).
-  const std::size_t n = ws.table_id.size();
-  const std::size_t nb = table_list_.size();
-  ws.bucket_begin.resize(nb + 1);
-  std::fill(ws.bucket_begin.begin(), ws.bucket_begin.end(), 0u);
-  for (std::size_t g = 0; g < n; ++g) ++ws.bucket_begin[ws.table_id[g] + 1];
-  for (std::size_t b = 0; b < nb; ++b) ws.bucket_begin[b + 1] += ws.bucket_begin[b];
-
-  ws.entry_site.resize(n);
-  ws.entry_weight.resize(n);
-  ws.fill.resize(nb);
-  std::copy(ws.bucket_begin.begin(), ws.bucket_begin.end() - 1, ws.fill.begin());
-  for (std::size_t g = 0; g < n; ++g) {
-    const std::uint32_t e = ws.fill[ws.table_id[g]]++;
-    ws.entry_site[e] = static_cast<std::uint32_t>(placement_->site_of(g));
-    ws.entry_weight[e] = 1.0;
-  }
-
-  if (merge_duplicates) {
-    // Fold repeated (site, table) pairs into one weighted entry: the gate
-    // count becomes the entry weight, so N gates sharing a site and table
-    // cost one table lookup instead of N. Placements that give every gate
-    // its own site compact to weight-1 entries (a no-op); the sort is only
-    // worth its cost when the buckets are built once per run.
-    std::size_t out = 0;
-    for (std::size_t b = 0; b < nb; ++b) {
-      const std::uint32_t begin = ws.bucket_begin[b];
-      const std::uint32_t end = ws.bucket_begin[b + 1];
-      std::sort(ws.entry_site.begin() + begin, ws.entry_site.begin() + end);
-      ws.bucket_begin[b] = static_cast<std::uint32_t>(out);
-      for (std::uint32_t e = begin; e < end;) {
-        const std::uint32_t site = ws.entry_site[e];
-        std::uint32_t run = 0;
-        while (e < end && ws.entry_site[e] == site) {
-          ++run;
-          ++e;
-        }
-        ws.entry_site[out] = site;
-        ws.entry_weight[out] = static_cast<double>(run);
-        ++out;
-      }
-    }
-    ws.bucket_begin[nb] = static_cast<std::uint32_t>(out);
-  }
-
-  const std::size_t total = ws.bucket_begin[nb];
-  ws.l_buf.resize(total);
-  ws.i_buf.resize(total);
-  ws.buckets_built = true;
-}
-
 double FullChipMonteCarlo::run_trial(process::GridFieldSampler& field, math::Rng& rng,
                                      McWorkspace& ws) const {
   RGLEAK_FAILPOINT("mc.trial");
@@ -288,36 +225,10 @@ double FullChipMonteCarlo::run_trial(process::GridFieldSampler& field, math::Rng
   const double d2d = rng.normal(0.0, chars_->process().length().sigma_d2d_nm);
   field.sample_into(rng, ws.field, ws.wid);
   const double base = mu + d2d;
-  if (options_.eval_path == McEvalPath::kBucketed) {
-    if (!ws.buckets_built) build_buckets(ws, /*merge_duplicates=*/!options_.resample_states_per_trial);
-    return sum_bucketed(ws, base);
-  }
-  return sum_per_gate(ws, base);
-}
-
-double FullChipMonteCarlo::sum_bucketed(McWorkspace& ws, double base) const {
-  const std::size_t nb = table_list_.size();
-  const std::size_t total = ws.bucket_begin[nb];
-  for (std::size_t b = 0; b < nb; ++b) {
-    const std::uint32_t begin = ws.bucket_begin[b];
-    const std::uint32_t count = ws.bucket_begin[b + 1] - begin;
-    if (count == 0) continue;
-    double* l = ws.l_buf.data() + begin;
-    const std::uint32_t* site = ws.entry_site.data() + begin;
-    for (std::uint32_t e = 0; e < count; ++e) l[e] = base + ws.wid[site[e]];
-    table_list_[b]->eval_many_na(l, ws.i_buf.data() + begin, count);
-  }
   CompensatedSum acc;
-  for (std::size_t e = 0; e < total; ++e) acc.add(ws.entry_weight[e] * ws.i_buf[e]);
-  return acc.value();
-}
-
-double FullChipMonteCarlo::sum_per_gate(const McWorkspace& ws, double base) const {
-  const std::size_t n = ws.table_id.size();
-  CompensatedSum acc;
-  for (std::size_t g = 0; g < n; ++g) {
+  for (std::size_t g = 0; g < ws.table_id.size(); ++g) {
     const double l = base + ws.wid[placement_->site_of(g)];
-    acc.add(table_list_[ws.table_id[g]]->eval_na(l));
+    acc.add(tables_[ws.table_id[g]]->eval_na(l));
   }
   return acc.value();
 }
@@ -387,16 +298,16 @@ FullChipMcResult FullChipMonteCarlo::run() {
 FullChipMcResult FullChipMonteCarlo::run_with_threads(std::size_t threads) {
   const util::RunControl* rc = options_.run;
 
-  // Charge the per-worker arenas (sampler copy + FFT workspace + bucket
-  // scratch) and the sample slices against the process memory budget up
+  // Charge the per-worker arenas (sampler copy + FFT workspace + WID field
+  // and table ids) and the sample slices against the process memory budget up
   // front; the reservation lives until run() returns. This is the tracked
   // backstop behind the admission layer's preflight — if the budget cannot
   // take it, the job fails typed here instead of OOM-killing the process.
   RGLEAK_FAILPOINT("mc.workspace.alloc");
   const util::MemoryReservation arena(
-      threads * core::MemoryCostModel::mc_worker_bytes(field_.padded_rows(), field_.padded_cols(),
-                                                       field_.rows(), field_.cols(),
-                                                       placement_->netlist().size()) +
+      threads * core::CostModel::mc_worker_bytes(field_.padded_rows(), field_.padded_cols(),
+                                                 field_.rows(), field_.cols(),
+                                                 placement_->netlist().size()) +
           std::uint64_t{options_.trials} * sizeof(double),
       "mc.workspace");
 
@@ -470,10 +381,7 @@ FullChipMcResult FullChipMonteCarlo::run_with_threads(std::size_t threads) {
     const std::size_t target = slice_size[w];
     for (std::size_t did = 0; wk.samples.size() < target && did < chunk; ++did) {
       if (rc && rc->should_stop()) break;
-      if (options_.resample_states_per_trial) {
-        draw_states_into(wk.rng, wk.ws.table_id);
-        wk.ws.buckets_built = false;
-      }
+      if (options_.resample_states_per_trial) draw_states_into(wk.rng, wk.ws.table_id);
       wk.samples.push_back(run_trial(wk.field, wk.rng, wk.ws));
       if (trials_counter != nullptr) trials_counter->add();
     }

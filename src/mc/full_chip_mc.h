@@ -7,14 +7,12 @@
 // at its sampled length, and sum. Across trials this yields the empirical
 // mean/sigma of total chip leakage, which the RG estimates must match.
 //
-// The trial loop is the throughput bound for every MC-backed validation, so
-// it is built around three ideas (DESIGN.md "MC performance"):
-//  * site/table bucketing — a gate's leakage depends only on (site L-value,
-//    leakage table), so trials group gates by table and evaluate each bucket
-//    with one batched LeakageTable::eval_many_na gather + vexp pass instead
-//    of a scalar eval per gate;
+// The trial loop is the throughput bound for every MC-backed validation
+// (DESIGN.md "MC performance"). The field draw dominates a trial; after it,
+// each gate's (cell, state) LeakageTable is evaluated at its site's sampled
+// length and added, in gate order, to a compensated sum. The loop keeps:
 //  * zero-allocation steady state — every per-trial buffer (field FFT
-//    scratch, bucket arrays, gather/eval buffers) lives in a per-worker
+//    scratch, WID field, per-gate table ids) lives in a per-worker
 //    McWorkspace that is warmed once and reused, so the steady-state loop
 //    performs no heap allocations (asserted by tests/mc/test_mc_perf_path.cpp
 //    with a counting operator new);
@@ -39,17 +37,6 @@
 
 namespace rgleak::mc {
 
-/// How a trial evaluates the per-gate leakage sum.
-enum class McEvalPath {
-  /// Group gates into (site, table) buckets once per state draw; evaluate
-  /// each bucket with one batched table lookup (gather + vexp). The default.
-  kBucketed,
-  /// Historical scalar loop: one LeakageTable::eval_na (std::exp) per gate.
-  /// Kept as the reference the bucketed path is validated against, and for
-  /// A/B benchmarking.
-  kPerGate,
-};
-
 struct FullChipMcOptions {
   std::size_t trials = 500;
   std::uint64_t seed = 777;
@@ -65,12 +52,6 @@ struct FullChipMcOptions {
   /// different (equally valid) samples. Threaded runs support per-trial
   /// state resampling: workers draw states into thread-local tables.
   std::size_t threads = 1;
-  /// Trial evaluation strategy; kBucketed and kPerGate consume the identical
-  /// RNG stream (same states, same fields), so for a fixed (seed, threads)
-  /// they agree to floating-point reassociation error (both paths use
-  /// compensated summation; see tests/mc/test_mc_perf_path.cpp for the
-  /// asserted tolerance).
-  McEvalPath eval_path = McEvalPath::kBucketed;
   /// Cooperative stop / deadline. Workers poll it once per trial (one relaxed
   /// atomic load when unarmed) and drain; run() then writes a final
   /// checkpoint (when checkpoint_path is set) and throws DeadlineExceeded.
@@ -113,16 +94,6 @@ struct McWorkspace {
   process::FieldWorkspace field;        ///< FFT buffers for sample_into
   std::vector<double> wid;              ///< WID field draw, one value per site
   std::vector<std::uint32_t> table_id;  ///< per gate: current input-state table
-  // Site/table buckets: entry e evaluates table `b` (entries grouped by
-  // table id, bucket b spanning [bucket_begin[b], bucket_begin[b+1])) at
-  // site entry_site[e], counted entry_weight[e] times.
-  std::vector<std::uint32_t> entry_site;
-  std::vector<double> entry_weight;
-  std::vector<std::uint32_t> bucket_begin;
-  std::vector<std::uint32_t> fill;  ///< counting-sort cursors
-  std::vector<double> l_buf;        ///< gathered per-entry channel lengths
-  std::vector<double> i_buf;        ///< batched per-entry leakage values
-  bool buckets_built = false;       ///< valid for the current table_id draw
 };
 
 class FullChipMonteCarlo {
@@ -156,10 +127,8 @@ class FullChipMonteCarlo {
   FullChipMcOptions options_;
   process::GridFieldSampler field_;
   math::Rng rng_;
-  std::vector<std::uint32_t> state_;     // per gate
-  std::vector<std::uint32_t> table_id_;  // per gate, indexes table_list_
-  std::vector<std::unique_ptr<charlib::LeakageTable>> tables_;  // per (cell,state), owned
-  std::vector<const charlib::LeakageTable*> table_list_;        // id -> table
+  std::vector<std::uint32_t> table_id_;  // per gate, indexes tables_
+  std::vector<std::unique_ptr<charlib::LeakageTable>> tables_;  // per (cell,state)
   std::unordered_map<std::uint64_t, std::uint32_t> table_index_;
   /// cell index -> (state -> table id), filled by build_all_state_tables so
   /// the per-trial state redraw resolves table ids with two array loads
@@ -179,17 +148,9 @@ class FullChipMonteCarlo {
   /// Thread-safe state draw into a caller-owned per-gate table-id vector; the
   /// tables must have been prebuilt. Mirrors draw_states' RNG consumption.
   void draw_states_into(math::Rng& rng, std::vector<std::uint32_t>& table_id) const;
-  /// Rebuilds ws's (site, table) buckets from ws.table_id via counting sort;
-  /// `merge_duplicates` additionally folds repeated (site, table) pairs into
-  /// one weighted entry (worth it only when states are fixed for the whole
-  /// run, so the buckets are built once).
-  void build_buckets(McWorkspace& ws, bool merge_duplicates) const;
-  /// One trial: D2D + WID field draw, then the per-gate sum over the selected
-  /// evaluation path. Both paths consume the same RNG stream and use
-  /// compensated (Neumaier) summation.
+  /// One trial: D2D + WID field draw, then the compensated (Neumaier) sum of
+  /// every gate's table evaluated at its site's length.
   double run_trial(process::GridFieldSampler& field, math::Rng& rng, McWorkspace& ws) const;
-  double sum_bucketed(McWorkspace& ws, double base) const;
-  double sum_per_gate(const McWorkspace& ws, double base) const;
   /// Loads `path`, verifies its identity header against this run's setup
   /// (ConfigError on mismatch), and installs the per-worker state.
   void restore(const std::string& path, std::size_t threads,

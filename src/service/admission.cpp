@@ -38,10 +38,10 @@ Admission admit_estimate(const ResourceGovernor& gov, std::size_t sites,
     }
   if (start == kLadder.size()) {
     // integral_rect and friends: constant-memory floor rungs. Check-fit only.
-    if (gov.memory.predict_bytes(method, sites) > gov.mem_budget_bytes) {
+    if (gov.costs.predict_bytes(method, sites) > gov.mem_budget_bytes) {
       std::ostringstream os;
       os << "admission: method '" << method << "' at " << sites << " sites needs "
-         << human_mb(gov.memory.predict_bytes(method, sites)) << ", over the "
+         << human_mb(gov.costs.predict_bytes(method, sites)) << ", over the "
          << human_mb(gov.mem_budget_bytes) << " memory budget with no cheaper rung";
       throw ResourceError(os.str());
     }
@@ -49,7 +49,7 @@ Admission admit_estimate(const ResourceGovernor& gov, std::size_t sites,
   }
 
   for (std::size_t i = start; i < kLadder.size(); ++i) {
-    if (gov.memory.predict_bytes(kLadder[i], sites) <= gov.mem_budget_bytes) {
+    if (gov.costs.predict_bytes(kLadder[i], sites) <= gov.mem_budget_bytes) {
       adm.method = kLadder[i];
       if (i != start) {
         std::ostringstream os;
@@ -61,7 +61,7 @@ Admission admit_estimate(const ResourceGovernor& gov, std::size_t sites,
   }
   std::ostringstream os;
   os << "admission: no estimator rung fits at " << sites << " sites: floor '"
-     << kLadder.back() << "' needs " << human_mb(gov.memory.predict_bytes(kLadder.back(), sites))
+     << kLadder.back() << "' needs " << human_mb(gov.costs.predict_bytes(kLadder.back(), sites))
      << ", over the " << human_mb(gov.mem_budget_bytes) << " memory budget";
   throw ResourceError(os.str());
 }
@@ -75,7 +75,7 @@ Admission admit_mc(const ResourceGovernor& gov, std::size_t sites, std::size_t t
     return adm;
   }
 
-  const std::uint64_t per_worker = gov.memory.predict_bytes("mc", sites);
+  const std::uint64_t per_worker = gov.costs.predict_bytes("mc", sites);
   std::size_t admitted = adm.threads;
   while (admitted > 1 && per_worker * admitted > gov.mem_budget_bytes) admitted /= 2;
   if (per_worker * admitted > gov.mem_budget_bytes) {

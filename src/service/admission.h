@@ -2,8 +2,9 @@
 // Memory admission control for batch jobs.
 //
 // Before a job runs, the JobRunner preflights its peak-memory prediction
-// (core/MemoryCostModel) against the configured budget and, when it does not
-// fit, walks the same accuracy ladder PR 3 walks for time budgets:
+// (core::CostModel::predict_bytes) against the configured budget and, when it
+// does not fit, walks the same accuracy ladder the budgeted estimators walk
+// for time budgets:
 //
 //   exact_fft -> exact_direct -> linear -> integral_polar     (estimates)
 //   mc @ N threads -> mc @ N/2 -> ... -> mc @ 1               (Monte Carlo)
@@ -14,14 +15,14 @@
 // ResourceError — a typed, journaled record, not an OOM kill.
 //
 // Admission is *predictive*; the tracked MemoryBudget reservations inside the
-// engines are the backstop for mispredictions. Both use the same
-// MemoryCostModel formulas, so they rarely disagree.
+// engines are the backstop for mispredictions. Both come from
+// core/cost_model.h, so they rarely disagree.
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
 
-#include "core/memory_cost.h"
+#include "core/cost_model.h"
 
 namespace rgleak::service {
 
@@ -30,7 +31,7 @@ namespace rgleak::service {
 struct ResourceGovernor {
   /// Bytes one job may need at peak; 0 = unlimited (admission is a no-op).
   std::uint64_t mem_budget_bytes = 0;
-  core::MemoryCostModel memory = core::MemoryCostModel::defaults();
+  core::CostModel costs = core::CostModel::defaults();
 };
 
 /// What admission decided for one job.

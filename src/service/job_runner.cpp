@@ -7,7 +7,7 @@
 #include "charlib/io.h"
 #include "core/estimators.h"
 #include "core/leakage_estimator.h"
-#include "core/method_cost.h"
+#include "core/cost_model.h"
 #include "core/random_gate.h"
 #include "mc/full_chip_mc.h"
 #include "netlist/io.h"

@@ -16,7 +16,7 @@
 //  * all counters are relaxed atomics — charging is cheap enough to keep in
 //    production paths permanently.
 //
-// The admission layer (service/admission.h) uses MemoryCostModel predictions
+// The admission layer (service/admission.h) uses CostModel byte predictions
 // to keep jobs from reaching a throwing reservation in the first place;
 // the reservation is the backstop for mispredictions, and std::bad_alloc
 // translation (see the `alloc` failpoint action) is the backstop below that.
@@ -62,7 +62,7 @@ class MemoryBudget {
   std::uint64_t reserved() const { return reserved_.load(std::memory_order_relaxed); }
 
   /// High-water mark of reserved() since construction or the last
-  /// reset_peak(). Feeds bench records and MemoryCostModel calibration.
+  /// reset_peak(). Feeds bench records and CostModel calibration.
   std::uint64_t peak() const { return peak_.load(std::memory_order_relaxed); }
   void reset_peak() { peak_.store(reserved(), std::memory_order_relaxed); }
 

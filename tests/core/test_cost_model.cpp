@@ -1,0 +1,126 @@
+// The per-rung cost model: pinned time and byte predictions, from the
+// built-in defaults and after calibration, and the calibration reader's
+// refusals. The pins hold every prediction fixed, so a change to a default
+// coefficient, a basis or the calibration rule shows up here. The
+// calibration fixtures copy records from the checked-in BENCH files, so
+// re-recording those files never moves the pins.
+
+#include "core/cost_model.h"
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "util/error.h"
+
+namespace rgleak::core {
+namespace {
+
+const std::string kCorpus = RGLEAK_COST_CORPUS_DIR;
+
+constexpr std::size_t kSizes[] = {256, 4096, 16384, 65536};
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+struct RungPins {
+  const char* rung;
+  double ms[4];            // predict_ms at kSizes
+  std::uint64_t bytes[4];  // predict_bytes at kSizes
+};
+
+void expect_pins(const CostModel& m, const std::vector<RungPins>& pins) {
+  for (const RungPins& p : pins)
+    for (std::size_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(m.predict_ms(p.rung, kSizes[i]), p.ms[i]) << p.rung << " @ " << kSizes[i];
+      EXPECT_EQ(m.predict_bytes(p.rung, kSizes[i]), p.bytes[i]) << p.rung << " @ " << kSizes[i];
+    }
+}
+
+TEST(CostModel, DefaultPredictionsArePinned) {
+  expect_pins(CostModel::defaults(),
+              {
+                  {"exact_direct",
+                   {3.2768000000000002, 838.86080000000004, 13421.772800000001,
+                    214748.36480000001},
+                   {65536ull, 1048576ull, 4194304ull, 16777216ull}},
+                  {"exact_fft",
+                   {10.24, 245.75999999999999, 1146.8800000000001, 5242.8800000000001},
+                   {2097152ull, 33554432ull, 134217728ull, 536870912ull}},
+                  {"linear",
+                   {0.51200000000000001, 8.1920000000000002, 32.768000000000001, 131.072},
+                   {65536ull, 65536ull, 65536ull, 65536ull}},
+                  {"integral_rect", {50, 50, 50, 50}, {32768ull, 32768ull, 32768ull, 32768ull}},
+                  {"integral_polar", {5, 5, 5, 5}, {32768ull, 32768ull, 32768ull, 32768ull}},
+                  {"mc", {kInf, kInf, kInf, kInf},
+                   {1048576ull, 16777216ull, 67108864ull, 268435456ull}},
+              });
+}
+
+TEST(CostModel, BenchCalibratedPredictionsArePinned) {
+  // wall_ms and budget_peak_bytes of the same records calibrate both laws;
+  // direct_serial rows are ignored, and "mc" gains no time law.
+  expect_pins(CostModel::from_bench_json(kCorpus + "/bench_records.json"),
+              {
+                  {"exact_direct",
+                   {0.2387, 61.107199999999999, 977.71519999999998, 15643.4432},
+                   {8224ull, 131584ull, 526336ull, 2105344ull}},
+                  {"exact_fft",
+                   {0.32229999999999998, 7.735199999999999, 36.0976, 165.01759999999999},
+                   {1187776ull, 19004418ull, 76017672ull, 304070688ull}},
+                  {"linear",
+                   {0.51200000000000001, 8.1920000000000002, 32.768000000000001, 131.072},
+                   {65536ull, 65536ull, 65536ull, 65536ull}},
+                  {"integral_rect", {50, 50, 50, 50}, {32768ull, 32768ull, 32768ull, 32768ull}},
+                  {"integral_polar", {5, 5, 5, 5}, {32768ull, 32768ull, 32768ull, 32768ull}},
+                  {"mc", {kInf, kInf, kInf, kInf},
+                   {2445070ull, 39121123ull, 156484494ull, 625937976ull}},
+              });
+}
+
+TEST(CostModel, PeakRssCalibratesBytesWithoutABudgetPeak) {
+  // peak_rss_kb stands in when budget_peak_bytes is absent or zero.
+  expect_pins(CostModel::from_bench_json(kCorpus + "/rss_fallback.json"),
+              {
+                  {"linear", {0.78125, 12.5, 50, 200},
+                   {6070272ull, 6070272ull, 6070272ull, 6070272ull}},
+                  {"integral_rect", {97, 97, 97, 97}, {65536ull, 65536ull, 65536ull, 65536ull}},
+              });
+}
+
+TEST(CostModel, ExactArenaFormulasArePinned) {
+  EXPECT_EQ(CostModel::exact_direct_bytes(100, 10, 10), 3216u);
+  EXPECT_EQ(CostModel::exact_direct_bytes(65536, 256, 256), 2105344u);
+  EXPECT_EQ(CostModel::exact_fft_bytes(8, 8, 2), 20232u);
+  EXPECT_EQ(CostModel::exact_fft_bytes(128, 128, 7), 11137032u);
+}
+
+TEST(CostModel, MalformedRecordsAreLocatedParseErrors) {
+  // Each fixture's second record (line 5) is bad: a missing wall_ms, a site
+  // count that is NaN, negative, beyond size_t, or fractional, an infinite
+  // byte count, or a negative wall time.
+  for (const char* name : {"missing_wall_ms", "sites_nan", "sites_negative", "sites_huge",
+                           "sites_fractional", "peak_bytes_inf", "wall_ms_negative"}) {
+    const std::string path = kCorpus + "/" + name + ".json";
+    try {
+      (void)CostModel::from_bench_json(path);
+      ADD_FAILURE() << name << ": expected ParseError";
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.source(), path) << name;
+      EXPECT_EQ(e.line(), 5u) << name << ": " << e.what();
+      EXPECT_EQ(e.token().rfind("{\"sites\": ", 0), 0u) << name << ": " << e.token();
+    }
+  }
+}
+
+TEST(CostModel, FileWithoutRecordsIsParseError) {
+  EXPECT_THROW((void)CostModel::from_bench_json(kCorpus + "/no_records.json"), ParseError);
+}
+
+TEST(CostModel, MissingFileIsIoError) {
+  EXPECT_THROW((void)CostModel::from_bench_json(kCorpus + "/does_not_exist.json"), IoError);
+}
+
+}  // namespace
+}  // namespace rgleak::core

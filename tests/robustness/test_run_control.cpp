@@ -11,9 +11,9 @@
 #include <thread>
 
 #include "../test_util.h"
+#include "core/cost_model.h"
 #include "core/estimators.h"
 #include "core/leakage_estimator.h"
-#include "core/method_cost.h"
 #include "core/random_gate.h"
 #include "netlist/random_circuit.h"
 #include "placement/placement.h"
@@ -139,8 +139,8 @@ TEST(RunControl, MispredictedRungIsCancelledAtDeadlineAndNextRungAnswers) {
                             core::CorrelationMode::kAnalytic);
 
   core::CostModel lying = core::CostModel::defaults();
-  lying.calibrate("fft", rows * cols, 1e-12);
-  lying.calibrate("linear", rows * cols, 1e-12);
+  lying.calibrate_ms("fft", rows * cols, 1e-12);
+  lying.calibrate_ms("linear", rows * cols, 1e-12);
   // Delay every trial of the exact path so the 1 ms budget expires inside it.
   const ScopedFailpoint fp("thread_pool.task", FailpointAction::kDelay, SIZE_MAX, 2);
   const core::LeakageEstimate e =

@@ -1,12 +1,12 @@
 // Memory admission: ladder walks, MC worker tiling, floor rejections.
 //
-// Uses the default MemoryCostModel coefficients, which at 1024 sites order
+// Uses the default CostModel byte coefficients, which at 1024 sites order
 // the rungs exact_fft (8 MiB) > exact_direct (256 KiB) > linear (64 KiB) >
 // integral_polar (32 KiB) — each budget below picks out one boundary.
 
 #include <gtest/gtest.h>
 
-#include "core/memory_cost.h"
+#include "core/cost_model.h"
 #include "service/admission.h"
 #include "util/error.h"
 
@@ -79,7 +79,7 @@ TEST(AdmitEstimate, CalibratedModelTightensAdmission) {
   // A calibration observation 4x the default makes the FFT rung too big for
   // a budget the default model would have admitted.
   ResourceGovernor gov = governor(16u << 20);
-  gov.memory.calibrate("fft", kSites, 64ull << 20);  // bench name maps to exact_fft
+  gov.costs.calibrate_bytes("fft", kSites, 64ull << 20);  // bench name maps to exact_fft
   const Admission adm = admit_estimate(gov, kSites, "exact_fft");
   EXPECT_EQ(adm.method, "exact_direct");
 }
@@ -120,17 +120,16 @@ TEST(AdmitMc, SingleWorkerMissIsTypedRejection) {
   }
 }
 
-TEST(MemoryCostModel, StructuralFormulasAreMonotonicInProblemSize) {
-  using core::MemoryCostModel;
-  EXPECT_LT(MemoryCostModel::exact_direct_bytes(100, 10, 10),
-            MemoryCostModel::exact_direct_bytes(1000, 32, 32));
-  EXPECT_LT(MemoryCostModel::exact_fft_bytes(8, 8, 2), MemoryCostModel::exact_fft_bytes(32, 32, 2));
-  EXPECT_LT(MemoryCostModel::mc_worker_bytes(16, 16, 8, 8, 100),
-            MemoryCostModel::mc_worker_bytes(64, 64, 32, 32, 1000));
+TEST(CostModel, StructuralFormulasAreMonotonicInProblemSize) {
+  using core::CostModel;
+  EXPECT_LT(CostModel::exact_direct_bytes(100, 10, 10), CostModel::exact_direct_bytes(1000, 32, 32));
+  EXPECT_LT(CostModel::exact_fft_bytes(8, 8, 2), CostModel::exact_fft_bytes(32, 32, 2));
+  EXPECT_LT(CostModel::mc_worker_bytes(16, 16, 8, 8, 100),
+            CostModel::mc_worker_bytes(64, 64, 32, 32, 1000));
 }
 
-TEST(MemoryCostModel, UnknownMethodPredictsUnaffordable) {
-  const core::MemoryCostModel m = core::MemoryCostModel::defaults();
+TEST(CostModel, UnknownMethodPredictsUnaffordable) {
+  const core::CostModel m = core::CostModel::defaults();
   EXPECT_EQ(m.predict_bytes("no_such_method", kSites),
             std::numeric_limits<std::uint64_t>::max());
 }

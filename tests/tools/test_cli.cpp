@@ -89,4 +89,17 @@ TEST_F(CliFlags, MetricsJsonIsWrittenAtExit) {
   std::remove(out.c_str());
 }
 
+TEST_F(CliFlags, MemModelNeedsWallMsInEveryRecord) {
+  // --mem-model reads through the same calibration reader as --cost-model, so
+  // a record without wall_ms is a parse error (exit 3), not a skipped record.
+  const std::string model = temp_path("rgleak_cli_mem_model.json");
+  std::ofstream(model) << R"({"records": [{"sites": 1024, "method": "fft", )"
+                          R"("budget_peak_bytes": 4750344}]})";
+  EXPECT_EQ(run_cli(batch("--mem-model " + model)), 3);
+  std::ofstream(model) << R"({"records": [{"sites": 1024, "method": "fft", "wall_ms": 1.5, )"
+                          R"("budget_peak_bytes": 4750344}]})";
+  EXPECT_EQ(run_cli(batch("--mem-model " + model)), 0);
+  std::remove(model.c_str());
+}
+
 }  // namespace

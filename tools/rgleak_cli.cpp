@@ -33,12 +33,11 @@
 #include "cells/spice_writer.h"
 #include "charlib/characterize.h"
 #include "core/corner_analysis.h"
+#include "core/cost_model.h"
 #include "charlib/io.h"
 #include "charlib/liberty_writer.h"
 #include "core/estimators.h"
 #include "core/leakage_estimator.h"
-#include "core/memory_cost.h"
-#include "core/method_cost.h"
 #include "core/sensitivity.h"
 #include "core/yield.h"
 #include "mc/full_chip_mc.h"
@@ -82,7 +81,7 @@ extern "C" void handle_signal(int) { g_run.request_stop(util::StopReason::kCance
                "                 [--exact-method auto|direct|fft] [--threads N]\n"
                "                 [--time-budget SECONDS] [--cost-model BENCH.json]\n"
                "  rgleak mc --lib FILE --netlist FILE [--trials N] [--seed S]\n"
-               "            [--threads N] [--p VALUE] [--resample] [--eval bucketed|per-gate]\n"
+               "            [--threads N] [--p VALUE] [--resample]\n"
                "            [--checkpoint FILE] [--checkpoint-every N] [--resume FILE]\n"
                "            [--time-budget SECONDS]\n"
                "  rgleak batch --manifest JOBS.jsonl [--journal FILE] [--workers N]\n"
@@ -120,6 +119,8 @@ extern "C" void handle_signal(int) { g_run.request_stop(util::StopReason::kCance
                "              RGLEAK_ISOLATE=process environment override.\n"
                "mem-budget SIZE: bytes with an optional k/m/g suffix, e.g. 512m;\n"
                "              auto = detect from cgroup / RLIMIT_AS, none = unlimited\n"
+               "cost-model, mem-model BENCH.json: bench_scaling/bench_full_chip_mc records,\n"
+               "              one reader; each record needs method, sites and wall_ms\n"
                "exit codes: 0 ok, 1 internal, 2 usage/config, 3 parse, 4 numerical, 5 io,\n"
                "            6 deadline/cancelled (SIGINT or --time-budget expiry),\n"
                "            7 batch completed but some jobs failed or were shed,\n"
@@ -459,13 +460,6 @@ int cmd_mc(const std::map<std::string, std::string>& flags) {
   opts.threads = parse_count(flag(flags, "threads", "1"), "--threads");
   opts.signal_probability = parse_double(flag(flags, "p", "0.5"), "--p");
   opts.resample_states_per_trial = has_flag(flags, "resample");
-  const std::string eval_path = flag(flags, "eval", "bucketed");
-  if (eval_path == "bucketed")
-    opts.eval_path = mc::McEvalPath::kBucketed;
-  else if (eval_path == "per-gate")
-    opts.eval_path = mc::McEvalPath::kPerGate;
-  else
-    usage_exit("--eval must be 'bucketed' or 'per-gate'");
   if (has_flag(flags, "checkpoint")) opts.checkpoint_path = flag(flags, "checkpoint");
   opts.checkpoint_every = parse_count(flag(flags, "checkpoint-every", "0"), "--checkpoint-every");
   if (has_flag(flags, "resume")) opts.resume_path = flag(flags, "resume");
@@ -548,7 +542,7 @@ int cmd_batch(const std::map<std::string, std::string>& flags) {
   service::ResourceGovernor governor;
   governor.mem_budget_bytes = mem_budget;
   if (has_flag(flags, "mem-model"))
-    governor.memory = core::MemoryCostModel::from_bench_json(flag(flags, "mem-model"));
+    governor.costs = core::CostModel::from_bench_json(flag(flags, "mem-model"));
 
   service::JobRunner runner(lib);
   runner.set_governor(&governor);
