@@ -1,16 +1,19 @@
 #!/usr/bin/env bash
 # AddressSanitizer pass over the failure-path tests: fault injection, the
 # malformed-input corpora (netlist + checkpoint), the exception-unwinding pool
-# paths, and the batch service layer (ctest label: robustness). Exceptions
-# flying out of worker threads and aborted parses are exactly where leaks and
-# use-after-frees hide; ASan proves the error paths release what they took.
-# Uses its own build tree so the regular build stays uninstrumented.
+# paths, the batch service layer (ctest label: robustness), and the `rgleak`
+# binary itself, driven black-box by cli_tests (flag reading, usage and typed
+# error exits, the batch front end). Exceptions flying out of worker threads
+# and aborted parses are exactly where leaks and use-after-frees hide; ASan
+# proves the error paths release what they took. Uses its own build tree so
+# the regular build stays uninstrumented.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD=build-asan
 cmake -B "$BUILD" -S . -DRGLEAK_SANITIZE=address >/dev/null
-cmake --build "$BUILD" --target util_tests service_tests robustness_tests -j "$(nproc)"
+cmake --build "$BUILD" --target util_tests service_tests robustness_tests rgleak cli_tests \
+  -j "$(nproc)"
 
 export ASAN_OPTIONS="detect_leaks=1 halt_on_error=1 ${ASAN_OPTIONS:-}"
 "$BUILD"/tests/util_tests --gtest_filter='ThreadPool.*:Failpoint.*:ErrorTaxonomy.*:Backoff.*:FakeClock.*'
@@ -22,4 +25,7 @@ export ASAN_OPTIONS="detect_leaks=1 halt_on_error=1 ${ASAN_OPTIONS:-}"
 (cd "$BUILD" && \
   ASAN_OPTIONS="handle_segv=0 handle_abort=0 $ASAN_OPTIONS" \
   ctest -L robustness --output-on-failure)
+# The CLI: cli_tests runs the ASan-built rgleak of this tree, which inherits
+# ASAN_OPTIONS, so a leak or bad access on any exit path fails its exit code.
+"$BUILD"/tests/cli_tests
 echo "asan_check: OK"

@@ -75,7 +75,7 @@ std::vector<JobSpec> load_manifest(const std::string& path) {
 
 std::string journal_record_json(const JobRecord& rec) {
   std::ostringstream os;
-  os << "{\"job\":" << json_string(rec.id) << ",\"status\":\""
+  os << "{\"job\":" << util::json_string(rec.id) << ",\"status\":\""
      << job_status_name(rec.status) << "\",\"attempts\":" << rec.attempts;
   // Numbers go through util::format_double*: ostringstream honors
   // LC_NUMERIC, and a decimal-comma journal line would fail its own strict
@@ -84,40 +84,32 @@ std::string journal_record_json(const JobRecord& rec) {
   if (rec.status == JobStatus::kSucceeded) {
     os << ",\"mean_na\":" << util::format_double(rec.mean_na, 17)
        << ",\"sigma_na\":" << util::format_double(rec.sigma_na, 17);
-    if (!rec.method.empty()) os << ",\"method\":" << json_string(rec.method);
+    if (!rec.method.empty()) os << ",\"method\":" << util::json_string(rec.method);
   }
-  if (!rec.degradation.empty()) os << ",\"degradation\":" << json_string(rec.degradation);
+  if (!rec.degradation.empty()) os << ",\"degradation\":" << util::json_string(rec.degradation);
   if (rec.beats > 0) os << ",\"beats\":" << rec.beats;
-  if (!rec.error.empty()) os << ",\"error\":" << json_string(rec.error);
+  if (!rec.error.empty()) os << ",\"error\":" << util::json_string(rec.error);
   os << "}";
-  // Integrity trailer: CRC32 of the record as rendered WITHOUT the "crc"
-  // field. parse_journal_record verifies and strips it, so a bit flip or a
-  // torn tail in a journal line is a located ParseError, not silent data.
-  std::string base = os.str();
-  base.insert(base.size() - 1, ",\"crc\":\"" + util::crc32_hex(util::crc32(base)) + "\"");
-  return base;
+  // Integrity trailer: a bit flip or a torn tail in a journal line is a
+  // located ParseError at load, not silent data.
+  std::string line = os.str();
+  util::add_crc_trailer(line);
+  return line;
 }
 
 JobRecord parse_journal_record(const std::string& text, const std::string& source,
                                std::size_t line) {
-  // Verify and strip the CRC trailer when present. Records written before
-  // checksumming (or by external tools) have no "crc" suffix and are accepted
-  // as-is; a present-but-wrong checksum is corruption and must not parse.
+  // Records written before checksumming (or by external tools) have no
+  // trailer and are accepted as-is; a malformed or wrong checksum is
+  // corruption and must not parse.
   std::string body = text;
-  constexpr std::size_t kCrcSuffixLen = 18;  // ,"crc":"xxxxxxxx"}
-  if (body.size() > kCrcSuffixLen &&
-      body.compare(body.size() - kCrcSuffixLen, 8, ",\"crc\":\"") == 0 &&
-      body.compare(body.size() - 2, 2, "\"}") == 0) {
-    std::uint32_t want = 0;
-    if (util::parse_crc32_hex(body.substr(body.size() - 10, 8), want)) {
-      std::string base = body.substr(0, body.size() - kCrcSuffixLen) + "}";
-      if (util::crc32(base) != want)
-        throw ParseError(source, line, 0,
-                         "journal record checksum mismatch (corrupt or truncated record)");
-      body = std::move(base);
-    }
-  }
+  if (util::strip_crc_trailer(body) == util::CrcTrailer::kBad)
+    throw ParseError(source, line, 0,
+                     "journal record checksum mismatch or malformed crc (corrupt or truncated "
+                     "record)");
   JsonObject obj = parse_json_object(body, source, line);
+  if (obj.count("crc") > 0)
+    throw ParseError(source, line, 0, "journal record crc is not the trailing 8-hex-digit field");
   JobRecord rec;
   rec.id = take_required(obj, "job", source, line);
   const std::string status = take_required(obj, "status", source, line);

@@ -7,9 +7,9 @@
 //    "trials":200,"seed":7,"threads":2}
 //
 // "id" (unique) and "kind" are required; every other key is a kind-specific
-// parameter interpreted by the executor (see service/job_runner.h). Unknown
-// kinds and bad parameters are *job* failures (ConfigError, permanent), not
-// manifest failures — a batch isolates them instead of dying.
+// parameter, tabled and read by service/params.h. Unknown kinds and bad
+// parameters are *job* failures (ConfigError, permanent), not manifest
+// failures — a batch isolates them instead of dying.
 //
 // A JobRecord is the terminal outcome of one job: succeeded with an estimate,
 // failed with a structured error (the error_json rendering of the final

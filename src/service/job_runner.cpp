@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <new>
-#include <sstream>
 
 #include "charlib/io.h"
 #include "core/estimators.h"
@@ -12,10 +11,9 @@
 #include "mc/full_chip_mc.h"
 #include "netlist/io.h"
 #include "placement/placement.h"
-#include "process/variation.h"
+#include "service/params.h"
 #include "util/error.h"
 #include "util/failpoint.h"
-#include "util/format.h"
 #include "util/metrics.h"
 #include "util/trace.h"
 
@@ -49,80 +47,6 @@ class PhaseScope {
   util::trace::Span span_;
   util::metrics::ScopedTimerMs timer_;
 };
-
-std::string require_param(const JobSpec& job, const char* key) {
-  const auto it = job.params.find(key);
-  if (it == job.params.end() || it->second.empty())
-    throw ConfigError("job '" + job.id + "' (" + job.kind + ") needs parameter \"" + key + "\"");
-  return it->second;
-}
-
-std::string param(const JobSpec& job, const char* key, const std::string& fallback) {
-  const auto it = job.params.find(key);
-  return it == job.params.end() ? fallback : it->second;
-}
-
-double num_param(const JobSpec& job, const char* key, double fallback) {
-  const auto it = job.params.find(key);
-  if (it == job.params.end()) return fallback;
-  double v = 0.0;
-  if (!util::parse_double(it->second, v))
-    throw ConfigError("job '" + job.id + "': parameter \"" + key + "\" expects a number, got '" +
-                      it->second + "'");
-  return v;
-}
-
-std::size_t count_param(const JobSpec& job, const char* key, std::size_t fallback) {
-  const double v = num_param(job, key, static_cast<double>(fallback));
-  if (v < 0.0 || v != std::floor(v))
-    throw ConfigError("job '" + job.id + "': parameter \"" + key +
-                      "\" expects a non-negative integer");
-  return static_cast<std::size_t>(v);
-}
-
-bool bool_param(const JobSpec& job, const char* key, bool fallback) {
-  const auto it = job.params.find(key);
-  if (it == job.params.end()) return fallback;
-  if (it->second == "true" || it->second == "1") return true;
-  if (it->second == "false" || it->second == "0") return false;
-  throw ConfigError("job '" + job.id + "': parameter \"" + key + "\" expects true or false");
-}
-
-netlist::UsageHistogram parse_usage_spec(const cells::StdCellLibrary& lib, const JobSpec& job,
-                                         const std::string& spec) {
-  netlist::UsageHistogram u;
-  u.alphas.assign(lib.size(), 0.0);
-  std::istringstream ss(spec);
-  std::string item;
-  double total = 0.0;
-  while (std::getline(ss, item, ',')) {
-    const auto colon = item.find(':');
-    if (colon == std::string::npos)
-      throw ConfigError("job '" + job.id + "': bad usage item '" + item + "'");
-    const std::string name = item.substr(0, colon);
-    double w = 0.0;
-    if (!util::parse_double(item.substr(colon + 1), w)) w = -1.0;
-    if (w <= 0.0) throw ConfigError("job '" + job.id + "': bad usage weight in '" + item + "'");
-    u.alphas[lib.index_of(name)] += w;
-    total += w;
-  }
-  if (total <= 0.0) throw ConfigError("job '" + job.id + "': usage spec is empty");
-  for (double& a : u.alphas) a /= total;
-  return u;
-}
-
-void parse_die_spec(const JobSpec& job, const std::string& spec, double& w_nm, double& h_nm) {
-  const auto x = spec.find('x');
-  double w = 0.0, h = 0.0;
-  if (x != std::string::npos) {
-    if (!util::parse_double(spec.substr(0, x), w) || !util::parse_double(spec.substr(x + 1), h))
-      w = h = 0.0;
-  }
-  if (w <= 0.0 || h <= 0.0)
-    throw ConfigError("job '" + job.id + "': die_um expects WxH in um, got '" + spec + "'");
-  w_nm = w * 1000.0;
-  h_nm = h * 1000.0;
-}
 
 JobOutput output_of(const core::LeakageEstimate& e) {
   JobOutput out;
@@ -165,37 +89,30 @@ const charlib::CharacterizedLibrary& JobRunner::chars_for(const std::string& pat
       .first->second;
 }
 
-const netlist::Netlist& JobRunner::netlist_for(const std::string& path) {
+std::pair<const charlib::CharacterizedLibrary&, const netlist::Netlist&> JobRunner::inputs_for(
+    const JobSpec& job, const Params& params) {
+  const std::string lib = params.text("lib");
+  const std::string path = params.text("netlist");
+  const PhaseScope phase("phase.parse", "parse", job);
+  const charlib::CharacterizedLibrary& chars = chars_for(lib);
   std::lock_guard<std::mutex> lock(cache_mutex_);
-  const auto it = netlist_cache_.find(path);
-  if (it != netlist_cache_.end()) return it->second;
-  return netlist_cache_.emplace(path, netlist::load_netlist(*library_, path)).first->second;
+  auto it = netlist_cache_.find(path);
+  if (it == netlist_cache_.end())
+    it = netlist_cache_.emplace(path, netlist::load_netlist(*library_, path)).first;
+  return {chars, it->second};
 }
 
 JobOutput JobRunner::run_estimate(const JobSpec& job, const util::RunControl* watchdog,
                                   int degrade) {
+  const Params params(job);
+  const core::DesignCharacteristics d = design_characteristics(params, *library_);
+  core::EstimatorConfig cfg = estimator_config(params);
   const charlib::CharacterizedLibrary& chars = [&]() -> const charlib::CharacterizedLibrary& {
     const PhaseScope phase("phase.parse", "parse", job);
-    return chars_for(require_param(job, "lib"));
+    return chars_for(params.text("lib"));
   }();
-
-  core::DesignCharacteristics d;
-  d.usage = parse_usage_spec(*library_, job, require_param(job, "usage"));
-  d.gate_count = count_param(job, "gates", 0);
-  if (d.gate_count == 0) throw ConfigError("job '" + job.id + "': gates must be positive");
-  parse_die_spec(job, require_param(job, "die_um"), d.width_nm, d.height_nm);
-
-  core::EstimatorConfig cfg;
   cfg.run = watchdog;
-  cfg.time_budget_s = num_param(job, "time_budget_s", 0.0);
-  cfg.correlation_mode = chars.has_models() ? core::CorrelationMode::kAnalytic
-                                            : core::CorrelationMode::kSimplified;
-  const std::string method = param(job, "method", "auto");
-  if (method == "auto") cfg.method = core::EstimationMethod::kAuto;
-  else if (method == "linear") cfg.method = core::EstimationMethod::kLinear;
-  else if (method == "rect") cfg.method = core::EstimationMethod::kIntegralRect;
-  else if (method == "polar") cfg.method = core::EstimationMethod::kIntegralPolar;
-  else throw ConfigError("job '" + job.id + "': unknown method '" + method + "'");
+  cfg.correlation_mode = correlation_mode_for(chars);
   // Retry degradation: after a retryable failure, answer from the O(1)
   // integral rung instead of re-running the rung that failed.
   if (degrade >= 1) cfg.method = core::EstimationMethod::kIntegralPolar;
@@ -215,14 +132,6 @@ JobOutput JobRunner::run_estimate(const JobSpec& job, const util::RunControl* wa
     }
   }
 
-  const std::string p = param(job, "p", "max");
-  if (p == "max") {
-    cfg.maximize_signal_probability = true;
-  } else {
-    cfg.maximize_signal_probability = false;
-    cfg.signal_probability = num_param(job, "p", 0.5);
-  }
-
   const PhaseScope phase("phase.estimate", "estimate", job);
   const core::LeakageEstimator estimator(chars, cfg);
   JobOutput out = output_of(estimator.estimate(d));
@@ -232,38 +141,25 @@ JobOutput JobRunner::run_estimate(const JobSpec& job, const util::RunControl* wa
 
 JobOutput JobRunner::run_netlist(const JobSpec& job, const util::RunControl* watchdog,
                                  int degrade) {
-  const auto parse_inputs = [&] {
-    const PhaseScope phase("phase.parse", "parse", job);
-    const charlib::CharacterizedLibrary& chars = chars_for(require_param(job, "lib"));
-    const netlist::Netlist& nl = netlist_for(require_param(job, "netlist"));
-    return std::pair<const charlib::CharacterizedLibrary&, const netlist::Netlist&>(chars, nl);
-  };
-  const auto [chars, nl] = parse_inputs();
+  const Params params(job);
+  // A batch job shares the host with the batch's other workers, so its exact
+  // analysis runs on one thread unless it asks for more; a CLI run owns the
+  // host and defaults to all cores.
+  NetlistRequest req = netlist_request(params, /*default_threads=*/1);
+  const auto [chars, nl] = inputs_for(job, params);
   const placement::Floorplan fp = placement::Floorplan::for_gate_count(nl.size());
   const netlist::UsageHistogram usage = netlist::extract_usage(nl);
-  const core::CorrelationMode mode = chars.has_models() ? core::CorrelationMode::kAnalytic
-                                                        : core::CorrelationMode::kSimplified;
-  const double p = num_param(job, "p", 0.5);
-  const core::RandomGate rg(chars, usage, p, mode);
-
-  const double budget_s = num_param(job, "time_budget_s", 0.0);
-  const bool want_exact = bool_param(job, "exact", false) || job.params.count("exact_method") > 0;
-
-  core::ExactOptions opts;
-  opts.threads = count_param(job, "threads", 1);
-  const std::string method = param(job, "exact_method", "auto");
-  if (method == "auto") opts.method = core::ExactMethod::kAuto;
-  else if (method == "direct") opts.method = core::ExactMethod::kDirect;
-  else if (method == "fft") opts.method = core::ExactMethod::kFft;
-  else throw ConfigError("job '" + job.id + "': unknown exact_method '" + method + "'");
+  const core::CorrelationMode mode = correlation_mode_for(chars);
+  const core::RandomGate rg(chars, usage, req.signal_probability, mode);
 
   // The cost ladder: retry degradation picks the requested rung (one down per
   // retryable failure), then memory admission may walk further down still.
   // Auto is admitted at the FFT rung — the most memory it could occupy.
   std::string requested;
   if (degrade >= 2) requested = "integral_polar";
-  else if (degrade >= 1 || (!want_exact && budget_s <= 0.0)) requested = "linear";
-  else requested = opts.method == core::ExactMethod::kDirect ? "exact_direct" : "exact_fft";
+  else if (degrade >= 1 || (!req.exact && req.time_budget_s <= 0.0)) requested = "linear";
+  else requested = req.exact_options.method == core::ExactMethod::kDirect ? "exact_direct"
+                                                                           : "exact_fft";
 
   std::string admitted = requested;
   std::string degradation;
@@ -281,14 +177,15 @@ JobOutput JobRunner::run_netlist(const JobSpec& job, const util::RunControl* wat
   } else if (admitted == "linear") {
     out = output_of(core::estimate_linear(rg, fp, watchdog));
   } else {
+    core::ExactOptions& opts = req.exact_options;
     if (admitted == "exact_direct" && requested == "exact_fft")
       opts.method = core::ExactMethod::kDirect;
     const placement::Placement pl(&nl, fp);
-    const core::ExactEstimator exact(chars, p, mode);
-    if (budget_s > 0.0) {
+    const core::ExactEstimator exact(chars, req.signal_probability, mode);
+    if (req.time_budget_s > 0.0) {
       const core::CostModel costs = core::CostModel::defaults();
-      out = output_of(
-          core::estimate_placed_budgeted(exact, rg, pl, budget_s, costs, opts, watchdog));
+      out = output_of(core::estimate_placed_budgeted(exact, rg, pl, req.time_budget_s, costs,
+                                                     opts, watchdog));
     } else {
       opts.run = watchdog;
       out = output_of(exact.estimate(pl, opts));
@@ -299,23 +196,12 @@ JobOutput JobRunner::run_netlist(const JobSpec& job, const util::RunControl* wat
 }
 
 JobOutput JobRunner::run_mc(const JobSpec& job, const util::RunControl* watchdog) {
-  const auto parse_inputs = [&] {
-    const PhaseScope phase("phase.parse", "parse", job);
-    const charlib::CharacterizedLibrary& chars = chars_for(require_param(job, "lib"));
-    const netlist::Netlist& nl = netlist_for(require_param(job, "netlist"));
-    return std::pair<const charlib::CharacterizedLibrary&, const netlist::Netlist&>(chars, nl);
-  };
-  const auto [chars, nl] = parse_inputs();
+  const Params params(job);
+  mc::FullChipMcOptions opts = mc_options(params);
+  opts.run = watchdog;
+  const auto [chars, nl] = inputs_for(job, params);
   const placement::Floorplan fp = placement::Floorplan::for_gate_count(nl.size());
   const placement::Placement pl(&nl, fp);
-
-  mc::FullChipMcOptions opts;
-  opts.trials = count_param(job, "trials", 200);
-  opts.seed = static_cast<std::uint64_t>(num_param(job, "seed", 777.0));
-  opts.threads = count_param(job, "threads", 1);
-  opts.signal_probability = num_param(job, "p", 0.5);
-  opts.resample_states_per_trial = bool_param(job, "resample", false);
-  opts.run = watchdog;
 
   std::string degradation;
   if (governor_ != nullptr) {
@@ -339,32 +225,12 @@ JobOutput JobRunner::run_mc(const JobSpec& job, const util::RunControl* watchdog
 }
 
 JobOutput JobRunner::run_characterize(const JobSpec& job, const util::RunControl* watchdog) {
-  const std::string out_path = require_param(job, "out");
-  const std::string mode = param(job, "mode", "analytic");
-  if (mode != "analytic" && mode != "mc")
-    throw ConfigError("job '" + job.id + "': unknown characterize mode '" + mode + "'");
-
-  process::LengthVariation len;
-  len.mean_nm = num_param(job, "mean_l", 40.0);
-  len.sigma_d2d_nm = num_param(job, "sigma_d2d", 1.7678);
-  len.sigma_wid_nm = num_param(job, "sigma_wid", 1.7678);
-  process::VtVariation vt;
-  vt.sigma_v = num_param(job, "sigma_vt", 0.02);
-  const std::string family = param(job, "corr", "exponential");
-  const double scale_nm = num_param(job, "corr_scale_um", 100.0) * 1000.0;
-  const process::ProcessVariation process(len, vt, process::make_correlation(family, scale_nm));
-
-  charlib::CharacterizedLibrary chars = [&] {
+  const Params params(job);
+  const std::string out_path = params.text("out");
+  const CharacterizeRequest req = characterize_request(params);
+  const charlib::CharacterizedLibrary chars = [&] {
     const PhaseScope phase("phase.characterize", "characterize", job);
-    if (mode == "mc") {
-      charlib::McCharOptions opts;
-      opts.samples = count_param(job, "samples", 20000);
-      opts.run = watchdog;
-      return charlib::characterize_monte_carlo(*library_, process, opts);
-    }
-    charlib::AnalyticCharOptions opts;
-    opts.run = watchdog;
-    return charlib::characterize_analytic(*library_, process, opts);
+    return req.run(*library_, watchdog);
   }();
   {
     const PhaseScope phase("phase.write", "write", job);
@@ -372,7 +238,7 @@ JobOutput JobRunner::run_characterize(const JobSpec& job, const util::RunControl
   }
 
   JobOutput out;
-  out.method = mode == "mc" ? "characterize_mc" : "characterize_analytic";
+  out.method = std::string("characterize_") + req.mode;
   return out;
 }
 

@@ -1,24 +1,16 @@
 #pragma once
 // Production Executor: adapts manifest jobs onto the library's engines.
 //
-// Kinds and their parameters (all values are JSON scalars; paths are
-// relative to the process working directory):
+// Kinds: estimate, netlist, mc, characterize. Their parameters (JSON
+// scalars; paths are relative to the process working directory), defaults
+// and accepted ranges are tabled in service/params.h, the reader this runner
+// and the CLI share.
 //
-//   estimate      lib, gates, die_um ("WxH" in um), usage ("CELL:w,..."),
-//                 [method=auto|linear|rect|polar] [p=NUM|"max"]
-//                 [time_budget_s=S]
-//   netlist       lib, netlist, [exact=true] [exact_method=auto|direct|fft]
-//                 [threads=N] [time_budget_s=S] [p=NUM]
-//   mc            lib, netlist, [trials=200] [seed=777] [threads=1] [p=0.5]
-//                 [resample=true]
-//   characterize  out, [mode=analytic|mc] [mean_l=40] [sigma_d2d] [sigma_wid]
-//                 [sigma_vt] [corr=exponential|...] [corr_scale_um=100]
-//                 [samples=N]
-//
-// Unknown kinds and malformed parameters raise ConfigError (permanent — the
-// job fails with a structured record; the batch keeps going). The per-job
-// watchdog is threaded into every engine (estimator run controls, MC worker
-// polls, characterizer polls), so a wedged job cancels within one chunk.
+// Unknown kinds and malformed parameters raise ConfigError before any file
+// loads (permanent — the job fails with a structured record; the batch keeps
+// going). The per-job watchdog is threaded into every engine (estimator run
+// controls, MC worker polls, characterizer polls), so a wedged job cancels
+// within one chunk.
 //
 // Retry degradation: on each retryable failure the estimate/netlist kinds
 // walk one rung down the PR-3 cost ladder (exact -> linear -> integral), so
@@ -33,6 +25,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 
 #include "cells/library.h"
 #include "charlib/characterize.h"
@@ -41,6 +34,8 @@
 #include "service/executor.h"
 
 namespace rgleak::service {
+
+class Params;
 
 class JobRunner : public Executor {
  public:
@@ -64,7 +59,9 @@ class JobRunner : public Executor {
   std::map<std::string, netlist::Netlist> netlist_cache_;
 
   const charlib::CharacterizedLibrary& chars_for(const std::string& path);
-  const netlist::Netlist& netlist_for(const std::string& path);
+  /// The "lib" and "netlist" a job names, loaded or cached.
+  std::pair<const charlib::CharacterizedLibrary&, const netlist::Netlist&> inputs_for(
+      const JobSpec& job, const Params& params);
 
   JobOutput run_estimate(const JobSpec& job, const util::RunControl* watchdog, int degrade);
   JobOutput run_netlist(const JobSpec& job, const util::RunControl* watchdog, int degrade);

@@ -1,7 +1,6 @@
 #include "service/jsonio.h"
 
 #include <cctype>
-#include <sstream>
 
 #include "util/error.h"
 #include "util/format.h"
@@ -150,28 +149,5 @@ JsonObject parse_json_object(const std::string& text, const std::string& source,
   if (!c.done()) c.fail("trailing characters after JSON object");
   return obj;
 }
-
-std::string json_escape(const std::string& s) {
-  std::ostringstream os;
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* hex = "0123456789abcdef";
-          os << "\\u00" << hex[(c >> 4) & 0xF] << hex[c & 0xF];
-        } else {
-          os << c;
-        }
-    }
-  }
-  return os.str();
-}
-
-std::string json_string(const std::string& value) { return "\"" + json_escape(value) + "\""; }
 
 }  // namespace rgleak::service

@@ -6,7 +6,7 @@
 // a page of code (no external dependency; the container ships none), while
 // staying real JSON so manifests can be produced by any tool. Parse failures
 // raise located ParseError ("file:line:col"), same contract as every other
-// reader in the repo.
+// reader in the repo. Writers render strings with util::json_string.
 
 #include <cstddef>
 #include <map>
@@ -24,12 +24,5 @@ using JsonObject = std::map<std::string, std::string>;
 /// raised ParseErrors are 1-based offsets into `text`.
 JsonObject parse_json_object(const std::string& text, const std::string& source,
                              std::size_t line);
-
-/// JSON string escaping (same rules as util::error_json: quotes, backslash,
-/// \n \r \t, \u00XX for other control bytes).
-std::string json_escape(const std::string& s);
-
-/// Renders `value` as a JSON string literal including the quotes.
-std::string json_string(const std::string& value);
 
 }  // namespace rgleak::service

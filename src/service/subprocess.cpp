@@ -237,9 +237,9 @@ std::string child_ok_record(const JobOutput& out, const std::string& metrics) {
   // parent's locale, and a decimal comma here would tear the result record.
   os << "{\"ok\":true,\"mean_na\":" << util::format_double(out.mean_na, 17)
      << ",\"sigma_na\":" << util::format_double(out.sigma_na, 17);
-  if (!out.method.empty()) os << ",\"method\":" << json_string(out.method);
-  if (!out.degradation.empty()) os << ",\"degradation\":" << json_string(out.degradation);
-  if (!metrics.empty()) os << ",\"metrics\":" << json_string(metrics);
+  if (!out.method.empty()) os << ",\"method\":" << util::json_string(out.method);
+  if (!out.degradation.empty()) os << ",\"degradation\":" << util::json_string(out.degradation);
+  if (!metrics.empty()) os << ",\"metrics\":" << util::json_string(metrics);
   os << "}\n";
   return os.str();
 }
@@ -247,9 +247,9 @@ std::string child_ok_record(const JobOutput& out, const std::string& metrics) {
 std::string child_error_record(const char* code, const std::string& message,
                                const std::string& json, const std::string& metrics) {
   std::ostringstream os;
-  os << "{\"ok\":false,\"code\":\"" << code << "\",\"message\":" << json_string(message)
-     << ",\"json\":" << json_string(json);
-  if (!metrics.empty()) os << ",\"metrics\":" << json_string(metrics);
+  os << "{\"ok\":false,\"code\":\"" << code << "\",\"message\":" << util::json_string(message)
+     << ",\"json\":" << util::json_string(json);
+  if (!metrics.empty()) os << ",\"metrics\":" << util::json_string(metrics);
   os << "}\n";
   return os.str();
 }

@@ -51,4 +51,30 @@ bool parse_crc32_hex(std::string_view text, std::uint32_t& out) {
   return true;
 }
 
+namespace {
+constexpr std::string_view kCrcKey = ",\"crc\":\"";
+}  // namespace
+
+void add_crc_trailer(std::string& record) {
+  record.insert(record.size() - 1, std::string(kCrcKey) + crc32_hex(crc32(record)) + "\"");
+}
+
+CrcTrailer strip_crc_trailer(std::string& record) {
+  // Inside a JSON string a quote is escaped, so the unescaped key can only
+  // be a field; the trailer is the last one.
+  const std::size_t at = record.rfind(kCrcKey);
+  if (at == std::string::npos || !record.ends_with("\"}") ||
+      at + kCrcKey.size() > record.size() - 2)
+    return CrcTrailer::kAbsent;
+  const std::size_t value_at = at + kCrcKey.size();
+  std::uint32_t want = 0;
+  if (!parse_crc32_hex(std::string_view(record).substr(value_at, record.size() - 2 - value_at),
+                       want))
+    return CrcTrailer::kBad;
+  std::string base = record.substr(0, at) + "}";
+  if (crc32(base) != want) return CrcTrailer::kBad;
+  record = std::move(base);
+  return CrcTrailer::kOk;
+}
+
 }  // namespace rgleak::util

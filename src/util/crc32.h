@@ -27,4 +27,19 @@ std::string crc32_hex(std::uint32_t crc);
 /// other shape (wrong length, non-hex characters).
 bool parse_crc32_hex(std::string_view text, std::uint32_t& out);
 
+/// The `,"crc":"xxxxxxxx"` trailer of one-line JSON records (journal
+/// records, trace spans): the CRC of the record as rendered without the
+/// trailer, as the last field. Inserts it before the closing brace of
+/// `record`, which must end in '}'.
+void add_crc_trailer(std::string& record);
+
+enum class CrcTrailer {
+  kAbsent,  ///< no trailer; the record is left as it was
+  kOk,      ///< the trailer verified and was stripped
+  kBad,     ///< a trailer whose value is not 8 hex digits or does not match
+};
+
+/// Verifies the trailer add_crc_trailer wrote and, when it holds, strips it.
+CrcTrailer strip_crc_trailer(std::string& record);
+
 }  // namespace rgleak::util

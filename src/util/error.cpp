@@ -6,6 +6,8 @@
 #include <new>
 #include <sstream>
 
+#include "util/format.h"
+
 namespace rgleak {
 
 namespace {
@@ -18,27 +20,6 @@ std::string format_parse_error(const std::string& source, std::size_t line, std:
   os << ": " << message;
   if (!token.empty()) os << " (near '" << token << "')";
   return os.str();
-}
-
-void append_json_string(std::ostringstream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* hex = "0123456789abcdef";
-          os << "\\u00" << hex[(c >> 4) & 0xF] << hex[c & 0xF];
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
 }
 
 }  // namespace
@@ -97,16 +78,11 @@ ParseError::ParseError(std::string source, std::size_t line, std::size_t column,
 std::string error_json(const Error& error) {
   std::ostringstream os;
   os << "{\"error\":\"" << error_code_name(error.code()) << "\",\"exit_code\":"
-     << exit_code_for(error.code()) << ",\"message\":";
-  append_json_string(os, error.message());
+     << exit_code_for(error.code()) << ",\"message\":" << util::json_string(error.message());
   if (const auto* pe = dynamic_cast<const ParseError*>(&error)) {
-    os << ",\"source\":";
-    append_json_string(os, pe->source());
+    os << ",\"source\":" << util::json_string(pe->source());
     os << ",\"line\":" << pe->line() << ",\"column\":" << pe->column();
-    if (!pe->token().empty()) {
-      os << ",\"token\":";
-      append_json_string(os, pe->token());
-    }
+    if (!pe->token().empty()) os << ",\"token\":" << util::json_string(pe->token());
   }
   os << '}';
   return os.str();
@@ -115,9 +91,8 @@ std::string error_json(const Error& error) {
 std::string error_json(const std::exception& error) {
   if (const auto* typed = dynamic_cast<const Error*>(&error)) return error_json(*typed);
   std::ostringstream os;
-  os << "{\"error\":\"internal\",\"exit_code\":1,\"message\":";
-  append_json_string(os, error.what());
-  os << '}';
+  os << "{\"error\":\"internal\",\"exit_code\":1,\"message\":" << util::json_string(error.what())
+     << '}';
   return os.str();
 }
 
@@ -127,50 +102,56 @@ bool g_terminate_json = false;
 
 // The contract of the installed handler: one structured line on stderr, then
 // the typed exit code — never the bare abort() the default handler produces.
-// Careful with allocations: a bad_alloc may be what got us here, so that
-// branch uses only static strings.
 [[noreturn]] void report_and_exit() {
   int code = 1;
-  try {
-    if (const auto eptr = std::current_exception()) std::rethrow_exception(eptr);
-    // terminate without an active exception (noexcept violation, direct call).
-    if (g_terminate_json)
-      std::fputs(
-          "{\"error\":\"internal\",\"exit_code\":1,\"message\":\"terminated without an active "
-          "exception\"}\n",
-          stderr);
-    else
-      std::fputs("error: terminated without an active exception\n", stderr);
-  } catch (const std::bad_alloc&) {
-    if (g_terminate_json)
-      std::fputs("{\"error\":\"resource\",\"exit_code\":8,\"message\":\"allocation failed\"}\n",
-                 stderr);
-    else
-      std::fputs("error: allocation failed (out of memory)\n", stderr);
-    code = 8;
-  } catch (const Error& e) {
-    if (g_terminate_json)
-      std::fprintf(stderr, "%s\n", error_json(e).c_str());
-    else
-      std::fprintf(stderr, "error: %s\n", e.message().c_str());
-    code = exit_code_for(e.code());
-  } catch (const std::exception& e) {
-    if (g_terminate_json)
-      std::fprintf(stderr, "%s\n", error_json(e).c_str());
-    else
-      std::fprintf(stderr, "error: %s\n", e.what());
-  } catch (...) {
-    if (g_terminate_json)
-      std::fputs("{\"error\":\"internal\",\"exit_code\":1,\"message\":\"unknown exception\"}\n",
-                 stderr);
-    else
-      std::fputs("error: unknown exception\n", stderr);
-  }
+  if (std::current_exception())
+    code = report_current_exception(g_terminate_json);
+  else if (g_terminate_json)  // noexcept violation, direct call
+    std::fputs(
+        "{\"error\":\"internal\",\"exit_code\":1,\"message\":\"terminated without an active "
+        "exception\"}\n",
+        stderr);
+  else
+    std::fputs("error: terminated without an active exception\n", stderr);
   std::fflush(stderr);
   std::_Exit(code);
 }
 
 }  // namespace
+
+int report_current_exception(bool json_errors) {
+  // Careful with allocations: a bad_alloc may be what got us here, so that
+  // branch uses only static strings.
+  try {
+    std::rethrow_exception(std::current_exception());
+  } catch (const std::bad_alloc&) {
+    std::fputs(json_errors
+                   ? "{\"error\":\"resource\",\"exit_code\":8,\"message\":\"allocation failed\"}\n"
+                   : "error: allocation failed (out of memory)\n",
+               stderr);
+    return 8;
+  } catch (const Error& e) {
+    if (json_errors) {
+      std::fprintf(stderr, "%s\n", error_json(e).c_str());
+    } else {
+      std::fprintf(stderr, "error: %s\n", e.message().c_str());
+      if (e.code() == ErrorCode::kContract)
+        std::fputs("this is a bug in rgleak, not in your input; please report it\n", stderr);
+    }
+    return exit_code_for(e.code());
+  } catch (const std::exception& e) {
+    if (json_errors)
+      std::fprintf(stderr, "%s\n", error_json(e).c_str());
+    else
+      std::fprintf(stderr, "error: %s\n", e.what());
+  } catch (...) {
+    std::fputs(json_errors
+                   ? "{\"error\":\"internal\",\"exit_code\":1,\"message\":\"unknown exception\"}\n"
+                   : "error: unknown exception\n",
+               stderr);
+  }
+  return 1;
+}
 
 void install_terminate_handler(bool json_errors) {
   g_terminate_json = json_errors;

@@ -188,6 +188,13 @@ std::string error_json(const Error& error);
 /// Renders an untyped exception the same way, as {"error":"internal",...}.
 std::string error_json(const std::exception& error);
 
+/// Reports the exception being handled (call it from a catch block) on
+/// stderr — the one-line error_json record when `json_errors` is set, an
+/// "error: ..." line otherwise, with a please-report note for contract
+/// violations — and returns its exit code: the taxonomy's for typed errors,
+/// 8 for std::bad_alloc, 1 for anything else.
+int report_current_exception(bool json_errors);
+
 /// Installs a std::terminate handler of last resort: any exception that slips
 /// past main's catch blocks (a throwing destructor during unwinding, a
 /// detached thread, a noexcept violation) is rendered to stderr — as the

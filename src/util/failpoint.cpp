@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "util/error.h"
+#include "util/format.h"
 
 namespace rgleak::util {
 
@@ -101,14 +102,8 @@ void Failpoints::arm_specs(const std::string& specs) {
       throw ConfigError("bad failpoint spec '" + spec +
                         "', expected SITE:ACTION[:COUNT[:DELAY_MS]] or SITE:exit:CODE[:COUNT]");
     const auto parse_field = [&](const std::string& tok, const char* what) -> long long {
-      std::size_t used = 0;
       long long v = 0;
-      try {
-        v = std::stoll(tok, &used);
-      } catch (const std::exception&) {
-        used = 0;
-      }
-      if (used != tok.size())
+      if (!parse_int(tok, v))
         throw ConfigError(std::string("failpoint spec '") + spec + "': " + what +
                           " expects an integer, got '" + tok + "'");
       return v;

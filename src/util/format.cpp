@@ -43,4 +43,33 @@ bool parse_double(std::string_view text, double& out) {
   return true;
 }
 
+void append_json_string(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  out += '"';
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out += "\\u00";
+          out += kHex[(c >> 4) & 0xF];
+          out += kHex[c & 0xF];
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+}
+
+std::string json_string(std::string_view s) {
+  std::string out;
+  append_json_string(out, s);
+  return out;
+}
+
 }  // namespace rgleak::util

@@ -3,37 +3,12 @@
 #include <bit>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 
 #include "util/format.h"
 
 namespace rgleak::util::metrics {
 
 namespace {
-
-// Minimal JSON string escaping for instrument names (dotted identifiers in
-// practice, but snapshot output must stay valid JSON for any name).
-void append_json_string(std::string& out, std::string_view s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
 
 std::string bits_hex(double v) {
   char buf[17];
@@ -42,14 +17,9 @@ std::string bits_hex(double v) {
   return std::string(buf, end);
 }
 
-bool parse_u64(std::string_view s, std::uint64_t& out, int base = 10) {
-  auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(), out, base);
-  return ec == std::errc() && p == s.data() + s.size();
-}
-
 bool parse_bits(std::string_view s, double& out) {
   std::uint64_t bits = 0;
-  if (!parse_u64(s, bits, 16)) return false;
+  if (!parse_int(s, bits, 16)) return false;
   out = std::bit_cast<double>(bits);
   return true;
 }
@@ -229,14 +199,14 @@ void Registry::merge_delta(std::string_view text) {
     }
     if (nf >= 3 && f[0] == "c") {
       std::uint64_t n = 0;
-      if (parse_u64(f[2], n)) counter(f[1]).add(n);
+      if (parse_int(f[2], n)) counter(f[1]).add(n);
       return;
     }
     if (nf >= 6 && f[0] == "h") {
       std::uint64_t count = 0;
       double sum = 0.0;
       double mx = 0.0;
-      if (!parse_u64(f[2], count) || !parse_bits(f[3], sum) || !parse_bits(f[4], mx)) return;
+      if (!parse_int(f[2], count) || !parse_bits(f[3], sum) || !parse_bits(f[4], mx)) return;
       Histogram& h = histogram(f[1]);
       std::uint64_t bucket_total = 0;
       for_each_piece(f[5], ',', [&](std::string_view pair) {
@@ -245,7 +215,7 @@ void Registry::merge_delta(std::string_view text) {
         if (colon == std::string_view::npos) return;
         std::uint64_t idx = 0;
         std::uint64_t n = 0;
-        if (!parse_u64(pair.substr(0, colon), idx) || !parse_u64(pair.substr(colon + 1), n))
+        if (!parse_int(pair.substr(0, colon), idx) || !parse_int(pair.substr(colon + 1), n))
           return;
         if (idx >= static_cast<std::uint64_t>(Histogram::kBuckets)) return;
         h.buckets_[idx].fetch_add(n, std::memory_order_relaxed);

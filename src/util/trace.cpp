@@ -5,7 +5,6 @@
 
 #include <atomic>
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
@@ -13,6 +12,7 @@
 
 #include "util/crc32.h"
 #include "util/error.h"
+#include "util/format.h"
 
 namespace rgleak::util::trace {
 
@@ -42,28 +42,6 @@ void check_env_once() {
   if (fd < 0) return;
   int expected = -1;
   if (!g_fd.compare_exchange_strong(expected, fd, std::memory_order_acq_rel)) ::close(fd);
-}
-
-void append_json_string(std::string& out, std::string_view s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
 }
 
 std::int64_t steady_ns(std::chrono::steady_clock::time_point tp) {
@@ -147,9 +125,7 @@ Span::~Span() {
   else
     append_json_string(out, std::uncaught_exceptions() > uncaught_ ? "error" : "ok");
   out += '}';
-  // Same integrity trailer as journal records: CRC32 of the record as
-  // rendered without the crc field, inserted before the closing brace.
-  out.insert(out.size() - 1, ",\"crc\":\"" + crc32_hex(crc32(out)) + "\"");
+  add_crc_trailer(out);  // same integrity trailer as journal records
   out += '\n';
   // One write() on an O_APPEND fd: concurrent writers (threads AND forked
   // children) interleave whole lines, never shear them. A failed or short

@@ -5,6 +5,7 @@
 
 #include <clocale>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -190,8 +191,13 @@ TEST(Journal, InMemoryJournalsTakeNoLock) {
   EXPECT_TRUE(b.has("b"));
 }
 
+// A corpus fixture, copied into the test temp dir first: opening a journal
+// takes a `<path>.lock` sidecar, which must not land in the source tree.
 std::string corpus(const char* file) {
-  return std::string(RGLEAK_JOURNAL_CORPUS_DIR) + "/" + file;
+  const std::string copy = temp_path(file);
+  std::filesystem::copy_file(std::string(RGLEAK_JOURNAL_CORPUS_DIR) + "/" + file, copy,
+                             std::filesystem::copy_options::overwrite_existing);
+  return copy;
 }
 
 TEST(Journal, ChecksummedRecordsRoundTripAndCorruptOnesAreRefused) {
@@ -212,6 +218,18 @@ TEST(Journal, ChecksummedRecordsRoundTripAndCorruptOnesAreRefused) {
   } catch (const ParseError& e) {
     EXPECT_EQ(e.line(), 2u);
     EXPECT_NE(std::string(e.what()).find("checksum mismatch"), std::string::npos) << e.what();
+  }
+}
+
+TEST(Journal, MalformedChecksumIsRefused) {
+  // A crc that is not 8 hex digits must not skip verification: the record
+  // would load as done and its job be skipped on resume.
+  try {
+    (void)Journal::open(corpus("crc_malformed.journal"));
+    ADD_FAILURE() << "expected ParseError for a malformed crc";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.line(), 3u);
+    EXPECT_NE(std::string(e.what()).find("malformed crc"), std::string::npos) << e.what();
   }
 }
 

@@ -8,6 +8,7 @@
 
 #include "service/jsonio.h"
 #include "util/error.h"
+#include "util/format.h"
 
 namespace rgleak::service {
 namespace {
@@ -40,7 +41,7 @@ TEST(JsonIo, UnescapesStrings) {
 
 TEST(JsonIo, EscapeRoundTripsArbitraryStrings) {
   const std::string nasty = "quote\" slash\\ nl\n tab\t ctl\x01 utf\xc3\xa9";
-  const JsonObject obj = parse("{\"k\":" + json_string(nasty) + "}");
+  const JsonObject obj = parse("{\"k\":" + util::json_string(nasty) + "}");
   EXPECT_EQ(obj.at("k"), nasty);
 }
 

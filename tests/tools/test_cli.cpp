@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 namespace {
@@ -21,9 +22,10 @@ std::string temp_path(const char* name) {
 }
 
 // Runs the CLI with `args`, returns its exit code (-1 if it died abnormally).
-int run_cli(const std::string& args) {
+// Stdout goes to `out` when given, else is dropped.
+int run_cli(const std::string& args, const std::string& out = "/dev/null") {
   const std::string cmd =
-      std::string(RGLEAK_CLI_PATH) + " " + args + " >/dev/null 2>/dev/null";
+      std::string(RGLEAK_CLI_PATH) + " " + args + " >" + out + " 2>/dev/null";
   const int status = std::system(cmd.c_str());
   if (status < 0 || !WIFEXITED(status)) return -1;
   return WEXITSTATUS(status);
@@ -100,6 +102,79 @@ TEST_F(CliFlags, MemModelNeedsWallMsInEveryRecord) {
                           R"("budget_peak_bytes": 4750344}]})";
   EXPECT_EQ(run_cli(batch("--mem-model " + model)), 0);
   std::remove(model.c_str());
+}
+
+// Bad values of the job parameters the commands share with the batch
+// (service/params.h), against real inputs, so that only the checked value
+// stands between the command and a run: each must be a usage error (exit 2),
+// never an engine contract check (exit 1) or a run that ignores it (exit 0).
+class CliParams : public ::testing::Test {
+ protected:
+  static std::string lib() { return temp_path("rgleak_cli_params.rgchar"); }
+  static std::string netlist() { return temp_path("rgleak_cli_params.rgnl"); }
+
+  static void SetUpTestSuite() {
+    ASSERT_EQ(run_cli("characterize --out " + lib()), 0);
+    ASSERT_EQ(run_cli("gen-netlist --out " + netlist() +
+                      " --gates 64 --usage INV_X1:1,NAND2_X1:1 --seed 3"),
+              0);
+  }
+  static void TearDownTestSuite() {
+    std::remove(lib().c_str());
+    std::remove(netlist().c_str());
+  }
+
+  static std::string estimate() {
+    return "estimate --lib " + lib() +
+           " --usage INV_X1:1,NAND2_X1:1 --gates 500 --die-um 30x30";
+  }
+  static std::string mc() { return "mc --lib " + lib() + " --netlist " + netlist() + " --trials 2"; }
+};
+
+TEST_F(CliParams, BadValuesAreUsageErrors) {
+  ASSERT_EQ(run_cli(estimate()), 0);
+  EXPECT_EQ(run_cli(estimate() + " --gates 0"), 2);
+  EXPECT_EQ(run_cli(estimate() + " --p 1.5"), 2);
+  EXPECT_EQ(run_cli(estimate() + " --die-um nanx30"), 2);
+  EXPECT_EQ(run_cli(estimate() + " --usage INV_X1:inf"), 2);
+  EXPECT_EQ(run_cli(estimate() + " --usage FOO:1"), 2);
+  ASSERT_EQ(run_cli(mc()), 0);
+  EXPECT_EQ(run_cli(mc() + " --trials 1"), 2);
+  EXPECT_EQ(run_cli(mc() + " --seed -1"), 2);
+  EXPECT_EQ(run_cli("characterize --out " + temp_path("rgleak_cli_unused.rgchar") +
+                    " --sigma-wid -1"),
+            2);
+}
+
+TEST_F(CliParams, ExactZeroSkipsTheExactAnalysis) {
+  const std::string out = temp_path("rgleak_cli_netlist.txt");
+  const std::string netlist_cmd = "netlist --lib " + lib() + " --netlist " + netlist();
+  const auto ran_exact = [&](const std::string& extra) {
+    EXPECT_EQ(run_cli(netlist_cmd + extra, out), 0) << extra;
+    std::ifstream in(out);
+    const std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+    return text.find("exact (") != std::string::npos;
+  };
+  EXPECT_TRUE(ran_exact(" --exact 1"));
+  EXPECT_FALSE(ran_exact(" --exact 0"));
+  EXPECT_FALSE(ran_exact(""));
+  EXPECT_TRUE(ran_exact(" --exact 0 --exact-method fft")) << "an exact method asks for it";
+  EXPECT_EQ(run_cli(netlist_cmd + " --exact banana"), 2);
+  std::remove(out.c_str());
+}
+
+TEST_F(CliParams, SharedParameterSpellingsReachEveryCommand) {
+  // Counts accept the float spelling the manifest always accepted.
+  EXPECT_EQ(run_cli(mc() + " --trials 1e1"), 0);
+  // --p on netlist, --time-budget on estimate and --samples on characterize
+  // are the jobs' p, time_budget_s and samples.
+  EXPECT_EQ(run_cli("netlist --lib " + lib() + " --netlist " + netlist() + " --p 0.3"), 0);
+  EXPECT_EQ(run_cli("netlist --lib " + lib() + " --netlist " + netlist() + " --p max"), 2);
+  EXPECT_EQ(run_cli(estimate() + " --time-budget 5"), 0);
+  EXPECT_EQ(run_cli(estimate() + " --time-budget nan"), 2);
+  EXPECT_EQ(run_cli("characterize --mode mc --samples 1 --out " +
+                    temp_path("rgleak_cli_unused.rgchar")),
+            2);
 }
 
 }  // namespace

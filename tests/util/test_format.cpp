@@ -104,5 +104,21 @@ TEST(Format, OutputIgnoresLcNumeric) {
   std::setlocale(LC_NUMERIC, "C");
 }
 
+// The one JSON string escaper behind journal lines, error_json, metrics
+// snapshots and trace spans: every control byte, the quote and the backslash.
+TEST(Format, JsonStringEscapesControlBytesQuoteAndBackslash) {
+  std::string raw;
+  for (int c = 0; c < 0x20; ++c) raw += static_cast<char>(c);
+  raw += "\"\\ok\xc3\xa9";
+  const std::string expected =
+      "\"\\u0000\\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007\\u0008\\t\\n\\u000b\\u000c\\r"
+      "\\u000e\\u000f\\u0010\\u0011\\u0012\\u0013\\u0014\\u0015\\u0016\\u0017\\u0018\\u0019"
+      "\\u001a\\u001b\\u001c\\u001d\\u001e\\u001f\\\"\\\\ok\xc3\xa9\"";
+  EXPECT_EQ(json_string(raw), expected);
+  std::string out = "x";
+  append_json_string(out, "a");
+  EXPECT_EQ(out, "x\"a\"");
+}
+
 }  // namespace
 }  // namespace rgleak::util

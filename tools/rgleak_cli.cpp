@@ -1,30 +1,23 @@
-// rgleak — command-line front end to the library.
-//
-//   rgleak characterize --out lib.rgchar [process options]
-//   rgleak estimate     --lib lib.rgchar --gates N --die-um WxH
-//                       --usage "INV_X1:0.4,NAND2_X1:0.6"
-//                       [--method linear|rect|polar] [--p VALUE|max]
-//                       [--budget-ua X] [--quantile Q]
-//   rgleak netlist      --lib lib.rgchar --netlist file.rgnl --die-um WxH
-//                       (late mode: extract characteristics, estimate, and
-//                        compare against the exact O(n^2) analysis)
-//   rgleak gen-netlist  --out file.rgnl --gates N
-//                       --usage "INV_X1:0.5,NAND2_X1:0.5" [--seed S]
+// rgleak — command-line front end to the library: characterize a process
+// corner, estimate early (design characteristics) or late (a netlist), run
+// the Monte-Carlo reference, and run batches. usage_exit lists the commands.
 //
 // The library ships the virtual 90 nm cell set; the characterization file
-// pins the process corner.
+// pins the process corner. The command line is read as a job: `--a-b VALUE`
+// is parameter `a_b` (`--time-budget` is `time_budget_s`), checked by the
+// same service::Params reader and builders as the batch's jobs
+// (service/params.h), so the CLI keeps only orchestration and printing.
 
-#include <cerrno>
+#include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
-#include <map>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -43,9 +36,9 @@
 #include "mc/full_chip_mc.h"
 #include "netlist/io.h"
 #include "netlist/random_circuit.h"
-#include "process/variation.h"
 #include "service/batch_runner.h"
 #include "service/job_runner.h"
+#include "service/params.h"
 #include "util/atomic_file.h"
 #include "util/error.h"
 #include "util/failpoint.h"
@@ -56,6 +49,8 @@
 #include "util/trace.h"
 
 using namespace rgleak;
+using service::Params;
+using service::Range;
 
 namespace {
 
@@ -70,14 +65,14 @@ extern "C" void handle_signal(int) { g_run.request_stop(util::StopReason::kCance
   if (msg) std::fprintf(stderr, "error: %s\n\n", msg);
   std::fprintf(stderr,
                "usage:\n"
-               "  rgleak characterize --out FILE [--mode analytic|mc] [--mean-l NM]\n"
-               "                      [--sigma-d2d NM] [--sigma-wid NM] [--sigma-vt V]\n"
+               "  rgleak characterize --out FILE [--mode analytic|mc] [--samples N]\n"
+               "                      [--mean-l NM] [--sigma-d2d NM] [--sigma-wid NM]\n"
+               "                      [--sigma-vt V] [--corr-scale-um UM]\n"
                "                      [--corr exponential|gaussian|linear|spherical]\n"
-               "                      [--corr-scale-um UM]\n"
                "  rgleak estimate --lib FILE --gates N --die-um WxH --usage SPEC\n"
                "                  [--method auto|linear|rect|polar] [--p VALUE|max]\n"
-               "                  [--budget-ua X] [--quantile Q]\n"
-               "  rgleak netlist --lib FILE --netlist FILE [--exact 1]\n"
+               "                  [--time-budget SECONDS] [--budget-ua X] [--quantile Q]\n"
+               "  rgleak netlist --lib FILE --netlist FILE [--p VALUE] [--exact 1|0]\n"
                "                 [--exact-method auto|direct|fft] [--threads N]\n"
                "                 [--time-budget SECONDS] [--cost-model BENCH.json]\n"
                "  rgleak mc --lib FILE --netlist FILE [--trials N] [--seed S]\n"
@@ -101,6 +96,10 @@ extern "C" void handle_signal(int) { g_run.request_stop(util::StopReason::kCance
                "  rgleak sensitivity --lib FILE --usage SPEC --gates N\n"
                "\n"
                "usage SPEC: comma-separated cell:weight pairs, e.g. INV_X1:0.4,NAND2_X1:0.6\n"
+               "flags:        --a-b is the batch jobs' parameter a_b, --time-budget their\n"
+               "              time_budget_s (defaults, ranges: src/service/params.h);\n"
+               "              counts accept 1e3, seeds are integers >= 0, and --exact 0\n"
+               "              skips the exact analysis unless --exact-method is given\n"
                "global flags: --error-json (one-line JSON error reports on stderr)\n"
                "              --trace FILE (append one JSONL span per phase/attempt;\n"
                "              sandboxed children inherit it via RGLEAK_TRACE)\n"
@@ -131,74 +130,31 @@ extern "C" void handle_signal(int) { g_run.request_stop(util::StopReason::kCance
 
 // Flags that take no value; present means "1".
 bool is_boolean_flag(const std::string& key) {
-  return key == "error-json" || key == "resample" || key == "progress";
+  return key == "error_json" || key == "resample" || key == "progress";
 }
 
-std::map<std::string, std::string> parse_flags(int argc, char** argv, int first) {
-  std::map<std::string, std::string> flags;
-  for (int i = first; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) usage_exit(("unexpected argument: " + key).c_str());
-    key = key.substr(2);
+// The command line as a job of kind `argv[1]`: `--a-b VALUE` becomes
+// parameter `a_b`, and `--time-budget` the jobs' `time_budget_s`.
+service::JobSpec parse_flags(int argc, char** argv) {
+  service::JobSpec spec;
+  spec.kind = argv[1];
+  for (int i = 2; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind("--", 0) != 0) usage_exit(("unexpected argument: " + arg).c_str());
+    std::string key = arg.substr(2);
+    std::replace(key.begin(), key.end(), '-', '_');
+    if (key == "time_budget") key = "time_budget_s";
     if (is_boolean_flag(key)) {
-      flags[key] = "1";
+      spec.params[key] = "1";
       continue;
     }
-    if (key == "failpoint") {
-      // Repeatable: accumulate newline-separated specs.
-      if (i + 1 >= argc) usage_exit("missing value for --failpoint");
-      std::string& specs = flags["failpoint"];
-      if (!specs.empty()) specs += '\n';
-      specs += argv[++i];
-      continue;
-    }
-    if (i + 1 >= argc) usage_exit(("missing value for --" + key).c_str());
-    flags[key] = argv[++i];
+    if (i + 1 >= argc) usage_exit(("missing value for " + arg).c_str());
+    const std::string value = argv[++i];
+    std::string& slot = spec.params[key];
+    // --failpoint is repeatable: the specs accumulate, newline-separated.
+    slot = key == "failpoint" && !slot.empty() ? slot + '\n' + value : value;
   }
-  return flags;
-}
-
-// Checked numeric parsers: the whole token must convert, no silent atof-style
-// "0 on garbage".
-double parse_double(const std::string& s, const std::string& what) {
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(s.c_str(), &end);
-  if (errno != 0 || end == s.c_str() || *end != '\0')
-    usage_exit((what + " expects a number, got: " + s).c_str());
-  // strtod happily accepts "nan"/"inf", and NaN slides past every
-  // `<= 0.0` range guard downstream — "--time-budget nan" would arm a NaN
-  // deadline instead of failing. No flag has a meaningful non-finite value,
-  // so reject them all here.
-  if (!std::isfinite(v)) usage_exit((what + " expects a finite number, got: " + s).c_str());
-  return v;
-}
-
-long long parse_int(const std::string& s, const std::string& what) {
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (errno != 0 || end == s.c_str() || *end != '\0')
-    usage_exit((what + " expects an integer, got: " + s).c_str());
-  return v;
-}
-
-std::size_t parse_count(const std::string& s, const std::string& what) {
-  const long long v = parse_int(s, what);
-  if (v < 0) usage_exit((what + " must be non-negative, got: " + s).c_str());
-  return static_cast<std::size_t>(v);
-}
-
-std::string flag(const std::map<std::string, std::string>& flags, const std::string& key,
-                 const std::string& fallback = "") {
-  const auto it = flags.find(key);
-  if (it != flags.end()) return it->second;
-  if (fallback.empty()) usage_exit(("required flag missing: --" + key).c_str());
-  return fallback;
-}
-
-bool has_flag(const std::map<std::string, std::string>& flags, const std::string& key) {
-  return flags.count(key) > 0;
+  return spec;
 }
 
 // --progress: a background thread that prints one status line per second on
@@ -255,98 +211,28 @@ class ProgressPrinter {
   bool quit_ = false;
 };
 
-netlist::UsageHistogram parse_usage(const cells::StdCellLibrary& lib, const std::string& spec) {
-  netlist::UsageHistogram u;
-  u.alphas.assign(lib.size(), 0.0);
-  std::istringstream ss(spec);
-  std::string item;
-  double total = 0.0;
-  while (std::getline(ss, item, ',')) {
-    const auto colon = item.find(':');
-    if (colon == std::string::npos) usage_exit(("bad usage item: " + item).c_str());
-    const std::string name = item.substr(0, colon);
-    const double w = parse_double(item.substr(colon + 1), "usage weight");
-    if (w <= 0.0) usage_exit(("bad usage weight in: " + item).c_str());
-    u.alphas[lib.index_of(name)] += w;
-    total += w;
-  }
-  if (total <= 0.0) usage_exit("usage spec is empty");
-  for (double& a : u.alphas) a /= total;
-  return u;
-}
-
-void parse_die(const std::string& spec, double& w_nm, double& h_nm) {
-  const auto x = spec.find('x');
-  if (x == std::string::npos) usage_exit(("bad --die-um, expected WxH: " + spec).c_str());
-  w_nm = parse_double(spec.substr(0, x), "--die-um width") * 1000.0;
-  h_nm = parse_double(spec.substr(x + 1), "--die-um height") * 1000.0;
-  if (w_nm <= 0.0 || h_nm <= 0.0) usage_exit("die dimensions must be positive");
-}
-
-int cmd_characterize(const std::map<std::string, std::string>& flags) {
-  const std::string out = flag(flags, "out");
-  const std::string mode = flag(flags, "mode", "analytic");
-
-  process::LengthVariation len;
-  len.mean_nm = parse_double(flag(flags, "mean-l", "40"), "--mean-l");
-  len.sigma_d2d_nm = parse_double(flag(flags, "sigma-d2d", "1.7678"), "--sigma-d2d");
-  len.sigma_wid_nm = parse_double(flag(flags, "sigma-wid", "1.7678"), "--sigma-wid");
-  process::VtVariation vt;
-  vt.sigma_v = parse_double(flag(flags, "sigma-vt", "0.02"), "--sigma-vt");
-  const std::string family = flag(flags, "corr", "exponential");
-  const double scale_nm = parse_double(flag(flags, "corr-scale-um", "100"), "--corr-scale-um") * 1000.0;
-  const process::ProcessVariation process(len, vt,
-                                          process::make_correlation(family, scale_nm));
-
+int cmd_characterize(const Params& p) {
+  const std::string out = p.text("out");
+  const service::CharacterizeRequest req = service::characterize_request(p);
   const cells::StdCellLibrary& lib = cells::build_virtual90_library();
-  std::printf("characterizing %zu cells (%s mode)...\n", lib.size(), mode.c_str());
+  std::printf("characterizing %zu cells (%s mode)...\n", lib.size(), req.mode);
   // Ctrl-C stops between (cell, state) pairs with exit code 6; the output
   // file is only written on completion, so no partial artifact appears.
-  charlib::CharacterizedLibrary chars = [&] {
-    if (mode == "mc") {
-      charlib::McCharOptions opts;
-      opts.run = &g_run;
-      return charlib::characterize_monte_carlo(lib, process, opts);
-    }
-    charlib::AnalyticCharOptions opts;
-    opts.run = &g_run;
-    return charlib::characterize_analytic(lib, process, opts);
-  }();
-  charlib::save_characterization(chars, out);
+  charlib::save_characterization(req.run(lib, &g_run), out);
   std::printf("wrote %s\n", out.c_str());
   return 0;
 }
 
-core::EstimationMethod parse_method(const std::string& m) {
-  if (m == "auto") return core::EstimationMethod::kAuto;
-  if (m == "linear") return core::EstimationMethod::kLinear;
-  if (m == "rect") return core::EstimationMethod::kIntegralRect;
-  if (m == "polar") return core::EstimationMethod::kIntegralPolar;
-  usage_exit(("unknown method: " + m).c_str());
-}
-
-int cmd_estimate(const std::map<std::string, std::string>& flags) {
+int cmd_estimate(const Params& p) {
   const cells::StdCellLibrary& lib = cells::build_virtual90_library();
-  const charlib::CharacterizedLibrary chars =
-      charlib::load_characterization(lib, flag(flags, "lib"));
-
-  core::DesignCharacteristics d;
-  d.usage = parse_usage(lib, flag(flags, "usage"));
-  d.gate_count = parse_count(flag(flags, "gates"), "--gates");
-  parse_die(flag(flags, "die-um"), d.width_nm, d.height_nm);
-
-  core::EstimatorConfig cfg;
+  const core::DesignCharacteristics d = service::design_characteristics(p, lib);
+  core::EstimatorConfig cfg = service::estimator_config(p);
+  // Checked with the rest; printed only when given.
+  const double q = p.number("quantile", 0.5, Range::kOpenUnit);
+  const double budget_na = p.number("budget_ua", 0.0) * 1000.0;
+  const charlib::CharacterizedLibrary chars = charlib::load_characterization(lib, p.text("lib"));
   cfg.run = &g_run;
-  cfg.method = parse_method(flag(flags, "method", "auto"));
-  cfg.correlation_mode = chars.has_models() ? core::CorrelationMode::kAnalytic
-                                            : core::CorrelationMode::kSimplified;
-  const std::string p = flag(flags, "p", "max");
-  if (p == "max") {
-    cfg.maximize_signal_probability = true;
-  } else {
-    cfg.maximize_signal_probability = false;
-    cfg.signal_probability = parse_double(p, "--p");
-  }
+  cfg.correlation_mode = service::correlation_mode_for(chars);
 
   const core::LeakageEstimator estimator(chars, cfg);
   const core::LeakageEstimate e = estimator.estimate(d);
@@ -356,119 +242,83 @@ int cmd_estimate(const std::map<std::string, std::string>& flags) {
   std::printf("sigma        : %.4f uA  (%.2f%% of mean)\n", e.sigma_na * 1e-3, 100.0 * e.cv());
 
   const core::LeakageYieldModel yield(e);
-  if (has_flag(flags, "quantile")) {
-    const double q = parse_double(flag(flags, "quantile"), "--quantile");
+  if (p.has("quantile"))
     std::printf("P%.4g leakage: %.4f uA (log-normal model)\n", 100.0 * q,
                 yield.quantile(q) * 1e-3);
-  }
-  if (has_flag(flags, "budget-ua")) {
-    const double budget = parse_double(flag(flags, "budget-ua"), "--budget-ua") * 1000.0;
-    std::printf("yield @ %.4g uA: %.4f%%\n", budget * 1e-3, 100.0 * yield.yield(budget));
-  }
+  if (p.has("budget_ua"))
+    std::printf("yield @ %.4g uA: %.4f%%\n", budget_na * 1e-3, 100.0 * yield.yield(budget_na));
   return 0;
 }
 
-int cmd_netlist(const std::map<std::string, std::string>& flags) {
-  // Validate before the file loads: a malformed --time-budget is a usage
-  // error even when the inputs are missing or slow to parse.
-  if (has_flag(flags, "time-budget")) {
-    if (parse_double(flag(flags, "time-budget"), "--time-budget") <= 0.0)
-      usage_exit("--time-budget must be positive");
-  }
+int cmd_netlist(const Params& p) {
+  const service::NetlistRequest req = service::netlist_request(p);
+  const std::string lib_path = p.text("lib");
+  const std::string netlist_path = p.text("netlist");
   const cells::StdCellLibrary& lib = cells::build_virtual90_library();
-  const charlib::CharacterizedLibrary chars =
-      charlib::load_characterization(lib, flag(flags, "lib"));
-  const netlist::Netlist nl = netlist::load_netlist(lib, flag(flags, "netlist"));
+  const charlib::CharacterizedLibrary chars = charlib::load_characterization(lib, lib_path);
+  const netlist::Netlist nl = netlist::load_netlist(lib, netlist_path);
   const placement::Floorplan fp = placement::Floorplan::for_gate_count(nl.size());
   const netlist::UsageHistogram usage = netlist::extract_usage(nl);
 
-  const core::CorrelationMode mode = chars.has_models()
-                                         ? core::CorrelationMode::kAnalytic
-                                         : core::CorrelationMode::kSimplified;
-  const core::RandomGate rg(chars, usage, 0.5, mode);
+  const core::CorrelationMode mode = service::correlation_mode_for(chars);
+  const core::RandomGate rg(chars, usage, req.signal_probability, mode);
   const core::LeakageEstimate est = core::estimate_linear(rg, fp, &g_run);
   std::printf("netlist      : %s (%zu gates)\n", nl.name().c_str(), nl.size());
   std::printf("RG estimate  : mean %.4f uA, sigma %.4f uA\n", est.mean_na * 1e-3,
               est.sigma_na * 1e-3);
 
-  if (has_flag(flags, "exact") || has_flag(flags, "exact-method")) {
-    core::ExactOptions opts;
-    const std::string method = flag(flags, "exact-method", "auto");
-    if (method == "auto") {
-      opts.method = core::ExactMethod::kAuto;
-    } else if (method == "direct") {
-      opts.method = core::ExactMethod::kDirect;
-    } else if (method == "fft") {
-      opts.method = core::ExactMethod::kFft;
-    } else {
-      usage_exit(("unknown exact method: " + method).c_str());
-    }
-    opts.threads = parse_count(flag(flags, "threads", "0"), "--threads");
+  const placement::Placement pl(&nl, fp);
+  const core::ExactEstimator exact(chars, req.signal_probability, mode);
+  if (req.exact) {
+    core::ExactOptions opts = req.exact_options;
     opts.run = &g_run;
-    const placement::Placement pl(&nl, fp);
-    const core::ExactEstimator exact(chars, 0.5, mode);
     const core::LeakageEstimate truth = exact.estimate(pl, opts);
-    std::printf("exact (%s) : mean %.4f uA, sigma %.4f uA\n", method.c_str(),
+    std::printf("exact (%s) : mean %.4f uA, sigma %.4f uA\n", req.exact_method,
                 truth.mean_na * 1e-3, truth.sigma_na * 1e-3);
     std::printf("sigma error  : %.4f%%\n",
                 100.0 * std::abs(est.sigma_na - truth.sigma_na) / truth.sigma_na);
   }
 
-  if (has_flag(flags, "time-budget")) {
+  if (req.time_budget_s > 0.0) {
     // Budgeted ladder: exact -> linear -> integral, degrading whenever the
     // cost model predicts the next rung would blow the remaining budget.
-    const double budget_s = parse_double(flag(flags, "time-budget"), "--time-budget");
-    if (budget_s <= 0.0) usage_exit("--time-budget must be positive");
-    const core::CostModel costs = has_flag(flags, "cost-model")
-                                      ? core::CostModel::from_bench_json(flag(flags, "cost-model"))
+    const core::CostModel costs = p.has("cost_model")
+                                      ? core::CostModel::from_bench_json(p.text("cost_model"))
                                       : core::CostModel::defaults();
-    core::ExactOptions opts;
-    opts.threads = parse_count(flag(flags, "threads", "0"), "--threads");
-    const placement::Placement pl(&nl, fp);
-    const core::ExactEstimator exact(chars, 0.5, mode);
-    const core::LeakageEstimate e =
-        core::estimate_placed_budgeted(exact, rg, pl, budget_s, costs, opts, &g_run);
-    std::printf("budgeted (%.3gs): mean %.4f uA, sigma %.4f uA [method %s]\n", budget_s,
+    const core::LeakageEstimate e = core::estimate_placed_budgeted(
+        exact, rg, pl, req.time_budget_s, costs, req.exact_options, &g_run);
+    std::printf("budgeted (%.3gs): mean %.4f uA, sigma %.4f uA [method %s]\n", req.time_budget_s,
                 e.mean_na * 1e-3, e.sigma_na * 1e-3, e.method.c_str());
     if (!e.degradation.empty()) std::printf("degraded     : %s\n", e.degradation.c_str());
   }
   return 0;
 }
 
-int cmd_mc(const std::map<std::string, std::string>& flags) {
-  // Flag validation before the file loads, so a malformed --time-budget is a
+int cmd_mc(const Params& p) {
+  // Every flag is checked before the files load, so a malformed one is a
   // usage error (exit 2) even when --lib points at a missing file. SIGINT/
   // SIGTERM request a cooperative stop (installed in main); a time budget
   // arms the same control. Either way the engine drains within one trial per
   // worker, writes a final checkpoint when --checkpoint is set, and exits
   // with code 6.
-  if (has_flag(flags, "time-budget")) {
-    const double budget_s = parse_double(flag(flags, "time-budget"), "--time-budget");
-    if (budget_s <= 0.0) usage_exit("--time-budget must be positive");
-    g_run.arm_budget(budget_s);
-  }
+  mc::FullChipMcOptions opts = service::mc_options(p);
+  opts.checkpoint_path = p.text("checkpoint", "");
+  opts.checkpoint_every = p.count("checkpoint_every", 0);
+  opts.resume_path = p.text("resume", "");
+  opts.run = &g_run;
+  const double budget_s = p.number("time_budget_s", 0.0, Range::kPositive);
+  const std::string lib_path = p.text("lib");
+  const std::string netlist_path = p.text("netlist");
+  if (budget_s > 0.0) g_run.arm_budget(budget_s);
   const cells::StdCellLibrary& lib = cells::build_virtual90_library();
-  const charlib::CharacterizedLibrary chars =
-      charlib::load_characterization(lib, flag(flags, "lib"));
-  const netlist::Netlist nl = netlist::load_netlist(lib, flag(flags, "netlist"));
+  const charlib::CharacterizedLibrary chars = charlib::load_characterization(lib, lib_path);
+  const netlist::Netlist nl = netlist::load_netlist(lib, netlist_path);
   const placement::Floorplan fp = placement::Floorplan::for_gate_count(nl.size());
   const placement::Placement pl(&nl, fp);
 
-  mc::FullChipMcOptions opts;
-  opts.trials = parse_count(flag(flags, "trials", "500"), "--trials");
-  opts.seed = static_cast<std::uint64_t>(parse_int(flag(flags, "seed", "777"), "--seed"));
-  opts.threads = parse_count(flag(flags, "threads", "1"), "--threads");
-  opts.signal_probability = parse_double(flag(flags, "p", "0.5"), "--p");
-  opts.resample_states_per_trial = has_flag(flags, "resample");
-  if (has_flag(flags, "checkpoint")) opts.checkpoint_path = flag(flags, "checkpoint");
-  opts.checkpoint_every = parse_count(flag(flags, "checkpoint-every", "0"), "--checkpoint-every");
-  if (has_flag(flags, "resume")) opts.resume_path = flag(flags, "resume");
-
-  opts.run = &g_run;
-
   mc::FullChipMonteCarlo engine(pl, chars, opts);
   mc::FullChipMcResult r;
-  const ProgressPrinter progress(has_flag(flags, "progress"));
+  const ProgressPrinter progress(p.has("progress"));
   try {
     const util::trace::Span span("mc.run");
     r = engine.run();
@@ -488,68 +338,54 @@ int cmd_mc(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int cmd_batch(const std::map<std::string, std::string>& flags) {
-  const cells::StdCellLibrary& lib = cells::build_virtual90_library();
-  const std::vector<service::JobSpec> jobs = service::load_manifest(flag(flags, "manifest"));
-  service::Journal journal =
-      service::Journal::open(has_flag(flags, "journal") ? flag(flags, "journal") : std::string());
+// The flag default stays kDefault (not kInProcess) so the RGLEAK_ISOLATE
+// environment override can force sandboxing through an unmodified command
+// line (how CI runs the existing matrix sandboxed).
+constexpr service::Choice<service::ExecIsolation> kIsolation[] = {
+    {"default", service::ExecIsolation::kDefault},
+    {"in-process", service::ExecIsolation::kInProcess},
+    {"process", service::ExecIsolation::kProcess},
+};
 
+int cmd_batch(const Params& p) {
   service::BatchOptions opts;
-  opts.retry.max_attempts =
-      1 + static_cast<int>(parse_count(flag(flags, "max-retries", "2"), "--max-retries"));
-  opts.retry.backoff.base_ms = parse_double(flag(flags, "backoff", "50"), "--backoff");
-  opts.retry.backoff.cap_ms = parse_double(flag(flags, "backoff-cap", "5000"), "--backoff-cap");
-  if (opts.retry.backoff.base_ms < 0.0 || opts.retry.backoff.cap_ms < opts.retry.backoff.base_ms)
-    usage_exit("--backoff must be >= 0 and <= --backoff-cap");
-  if (has_flag(flags, "retry-budget"))
-    opts.retry.batch_retry_budget = parse_count(flag(flags, "retry-budget"), "--retry-budget");
-  opts.queue_depth = parse_count(flag(flags, "queue-depth", "32"), "--queue-depth");
-  if (opts.queue_depth == 0) usage_exit("--queue-depth must be positive");
-  opts.shed_policy = service::parse_shed_policy(flag(flags, "shed-policy", "block"));
-  opts.workers = parse_count(flag(flags, "workers", "0"), "--workers");
-  if (has_flag(flags, "job-deadline")) {
-    opts.job_deadline_s = parse_double(flag(flags, "job-deadline"), "--job-deadline");
-    if (opts.job_deadline_s <= 0.0) usage_exit("--job-deadline must be positive");
-  }
-  if (has_flag(flags, "stall-timeout")) {
-    opts.stall_timeout_s = parse_double(flag(flags, "stall-timeout"), "--stall-timeout");
-    if (opts.stall_timeout_s <= 0.0) usage_exit("--stall-timeout must be positive");
-  }
-  opts.jitter_seed =
-      static_cast<std::uint64_t>(parse_int(flag(flags, "jitter-seed", "24029"), "--jitter-seed"));
+  opts.retry.max_attempts = 1 + static_cast<int>(p.count("max_retries", 2, 0, INT_MAX - 1));
+  opts.retry.backoff.base_ms = p.number("backoff", 50.0, Range::kNonNegative);
+  opts.retry.backoff.cap_ms = p.number("backoff_cap", 5000.0, Range::kNonNegative);
+  if (opts.retry.backoff.cap_ms < opts.retry.backoff.base_ms)
+    p.fail("backoff_cap", "must be >= backoff");
+  opts.retry.batch_retry_budget = p.count("retry_budget", opts.retry.batch_retry_budget);
+  opts.queue_depth = p.count("queue_depth", 32, 1);
+  opts.shed_policy = p.parse("shed_policy", "block", service::parse_shed_policy);
+  opts.workers = p.threads("workers", 0);
+  opts.job_deadline_s = p.number("job_deadline", 0.0, Range::kPositive);
+  opts.stall_timeout_s = p.number("stall_timeout", 0.0, Range::kPositive);
+  opts.jitter_seed = p.seed("jitter_seed", 24029);
   opts.run = &g_run;
-
-  // Attempt isolation. The flag default stays kDefault (not kInProcess) so
-  // the RGLEAK_ISOLATE environment override can force sandboxing through an
-  // unmodified command line (how CI runs the existing matrix sandboxed).
-  const std::string isolate = flag(flags, "isolate", "default");
-  if (isolate == "process") opts.isolate = service::ExecIsolation::kProcess;
-  else if (isolate == "in-process") opts.isolate = service::ExecIsolation::kInProcess;
-  else if (isolate != "default")
-    usage_exit("--isolate must be 'in-process' or 'process'");
-  if (has_flag(flags, "isolate-grace")) {
-    opts.isolate_grace_s = parse_double(flag(flags, "isolate-grace"), "--isolate-grace");
-    if (opts.isolate_grace_s < 0.0) usage_exit("--isolate-grace must be >= 0");
-  }
-
+  opts.isolate = p.pick("isolate", "default", kIsolation).value;
+  opts.isolate_grace_s = p.number("isolate_grace", opts.isolate_grace_s, Range::kNonNegative);
   // Memory governance: the admission budget (predictive) and the process-wide
   // reservation limit (enforcing) are set to the same ceiling.
-  const std::string mem_spec = flag(flags, "mem-budget", "auto");
-  std::uint64_t mem_budget = 0;
-  if (mem_spec == "auto") mem_budget = util::detect_memory_limit();
-  else if (mem_spec != "none") mem_budget = util::parse_memory_size(mem_spec);
+  const std::uint64_t mem_budget =
+      p.parse("mem_budget", "auto", [](const std::string& spec) -> std::uint64_t {
+        if (spec == "auto") return util::detect_memory_limit();
+        return spec == "none" ? 0 : util::parse_memory_size(spec);
+      });
+
+  const cells::StdCellLibrary& lib = cells::build_virtual90_library();
+  const std::vector<service::JobSpec> jobs = service::load_manifest(p.text("manifest"));
+  service::Journal journal = service::Journal::open(p.text("journal", ""));
   util::MemoryBudget::process().set_limit(mem_budget);
   service::ResourceGovernor governor;
   governor.mem_budget_bytes = mem_budget;
-  if (has_flag(flags, "mem-model"))
-    governor.costs = core::CostModel::from_bench_json(flag(flags, "mem-model"));
+  if (p.has("mem_model")) governor.costs = core::CostModel::from_bench_json(p.text("mem_model"));
 
   service::JobRunner runner(lib);
   runner.set_governor(&governor);
   const service::BatchSummary s = [&] {
     // Scoped so the printer joins (and stops writing to stderr) before the
     // summary block below.
-    const ProgressPrinter progress(has_flag(flags, "progress"));
+    const ProgressPrinter progress(p.has("progress"));
     return service::run_batch(jobs, runner, journal, opts);
   }();
   if (mem_budget > 0)
@@ -592,36 +428,33 @@ int cmd_batch(const std::map<std::string, std::string>& flags) {
   return terminal_failures > 0 ? 7 : 0;
 }
 
-int cmd_gen_netlist(const std::map<std::string, std::string>& flags) {
+int cmd_gen_netlist(const Params& p) {
   const cells::StdCellLibrary& lib = cells::build_virtual90_library();
-  const std::size_t n = parse_count(flag(flags, "gates"), "--gates");
-  const netlist::UsageHistogram usage = parse_usage(lib, flag(flags, "usage"));
-  math::Rng rng(static_cast<std::uint64_t>(parse_int(flag(flags, "seed", "1"), "--seed")));
+  const std::string out = p.text("out");
+  const std::size_t n = p.count("gates", std::nullopt, 1);
+  const netlist::UsageHistogram usage = service::usage_histogram(p, lib);
+  math::Rng rng(p.seed("seed", 1));
   const netlist::Netlist nl =
       netlist::generate_random_circuit(lib, usage, n, rng, netlist::UsageMatch::kExact,
                                        "generated");
-  netlist::save_netlist(nl, flag(flags, "out"));
-  std::printf("wrote %s (%zu gates)\n", flag(flags, "out").c_str(), nl.size());
+  netlist::save_netlist(nl, out);
+  std::printf("wrote %s (%zu gates)\n", out.c_str(), nl.size());
   return 0;
 }
 
-int cmd_sweep(const std::map<std::string, std::string>& flags) {
+int cmd_sweep(const Params& p) {
   const cells::StdCellLibrary& lib = cells::build_virtual90_library();
-  const charlib::CharacterizedLibrary chars =
-      charlib::load_characterization(lib, flag(flags, "lib"));
-  const netlist::UsageHistogram usage = parse_usage(lib, flag(flags, "usage"));
-  double w_nm = 0.0, h_nm = 0.0;
-  parse_die(flag(flags, "die-um"), w_nm, h_nm);
-  const std::size_t from = parse_count(flag(flags, "gates-from"), "--gates-from");
-  const std::size_t to = parse_count(flag(flags, "gates-to"), "--gates-to");
-  const std::size_t steps = parse_count(flag(flags, "steps", "8"), "--steps");
-  if (from == 0 || to < from || steps < 2) usage_exit("bad sweep range");
+  const netlist::UsageHistogram usage = service::usage_histogram(p, lib);
+  const auto [w_nm, h_nm] = service::die_nm(p);
+  const std::size_t from = p.count("gates_from", std::nullopt, 1);
+  const std::size_t to = p.count("gates_to", std::nullopt, from);
+  const std::size_t steps = p.count("steps", 8, 2);
+  const charlib::CharacterizedLibrary chars = charlib::load_characterization(lib, p.text("lib"));
 
   core::EstimatorConfig cfg;
   cfg.run = &g_run;
   cfg.maximize_signal_probability = false;
-  cfg.correlation_mode = chars.has_models() ? core::CorrelationMode::kAnalytic
-                                            : core::CorrelationMode::kSimplified;
+  cfg.correlation_mode = service::correlation_mode_for(chars);
   const core::LeakageEstimator estimator(chars, cfg);
 
   util::Table t({"gates", "mean (uA)", "sigma (uA)", "sigma/mean %", "P99 (uA)"});
@@ -648,28 +481,27 @@ int cmd_sweep(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int cmd_liberty(const std::map<std::string, std::string>& flags) {
+int cmd_liberty(const Params& p) {
   const cells::StdCellLibrary& lib = cells::build_virtual90_library();
-  const charlib::CharacterizedLibrary chars =
-      charlib::load_characterization(lib, flag(flags, "lib"));
-  charlib::write_liberty(chars, flag(flags, "out"));
-  std::printf("wrote %s\n", flag(flags, "out").c_str());
+  const std::string out = p.text("out");
+  charlib::write_liberty(charlib::load_characterization(lib, p.text("lib")), out);
+  std::printf("wrote %s\n", out.c_str());
   return 0;
 }
 
-int cmd_spice(const std::map<std::string, std::string>& flags) {
+int cmd_spice(const Params& p) {
   const cells::StdCellLibrary& lib = cells::build_virtual90_library();
-  cells::write_spice_library(lib, flag(flags, "out"));
-  std::printf("wrote %s (%zu subcircuits)\n", flag(flags, "out").c_str(), lib.size());
+  const std::string out = p.text("out");
+  cells::write_spice_library(lib, out);
+  std::printf("wrote %s (%zu subcircuits)\n", out.c_str(), lib.size());
   return 0;
 }
 
-int cmd_corners(const std::map<std::string, std::string>& flags) {
+int cmd_corners(const Params& p) {
   const cells::StdCellLibrary& lib = cells::build_virtual90_library();
-  const charlib::CharacterizedLibrary chars =
-      charlib::load_characterization(lib, flag(flags, "lib"));
-  const netlist::UsageHistogram usage = parse_usage(lib, flag(flags, "usage"));
-  const std::size_t gates = parse_count(flag(flags, "gates"), "--gates");
+  const netlist::UsageHistogram usage = service::usage_histogram(p, lib);
+  const std::size_t gates = p.count("gates", std::nullopt, 1);
+  const charlib::CharacterizedLibrary chars = charlib::load_characterization(lib, p.text("lib"));
   const auto corners =
       core::standard_corners(chars.process().length().sigma_d2d_nm);
   const auto results =
@@ -686,12 +518,11 @@ int cmd_corners(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int cmd_sensitivity(const std::map<std::string, std::string>& flags) {
+int cmd_sensitivity(const Params& p) {
   const cells::StdCellLibrary& lib = cells::build_virtual90_library();
-  const charlib::CharacterizedLibrary chars =
-      charlib::load_characterization(lib, flag(flags, "lib"));
-  const netlist::UsageHistogram usage = parse_usage(lib, flag(flags, "usage"));
-  const std::size_t gates = parse_count(flag(flags, "gates"), "--gates");
+  const netlist::UsageHistogram usage = service::usage_histogram(p, lib);
+  const std::size_t gates = p.count("gates", std::nullopt, 1);
+  const charlib::CharacterizedLibrary chars = charlib::load_characterization(lib, p.text("lib"));
   const auto entries = core::process_sensitivities(lib, chars.process(), usage, gates);
   util::Table t({"knob", "base value", "dln(mean)/dln(x)", "dln(sigma)/dln(x)"});
   for (const auto& e : entries)
@@ -710,7 +541,7 @@ int main(int argc, char** argv) {
   bool json_errors = false;
   for (int i = 2; i < argc; ++i)
     if (std::string(argv[i]) == "--error-json") json_errors = true;
-  // Crash hygiene of last resort: an exception that escapes the catch blocks
+  // Crash hygiene of last resort: an exception that escapes the catch block
   // below (throwing destructor mid-unwind, detached thread, noexcept
   // violation) still produces the structured error record and a typed exit
   // code instead of a bare abort.
@@ -724,53 +555,34 @@ int main(int argc, char** argv) {
   int rc = 0;
   std::string metrics_json_path;
   try {
-    const auto flags = parse_flags(argc, argv, 2);
+    const service::JobSpec spec = parse_flags(argc, argv);
+    const Params p(spec);
     // ConfigError (exit 2) on an unknown action or malformed spec — a typo'd
     // spec that silently never fired would make a robustness run vacuous.
-    if (has_flag(flags, "failpoint")) util::Failpoints::arm_specs(flags.at("failpoint"));
+    util::Failpoints::arm_specs(p.text("failpoint", ""));
     // Armed before dispatch so every phase span of the command lands in the
     // file; sandboxed job children inherit the O_APPEND fd across fork and
     // append to the same file (atomic single-write lines, no interleaving).
-    if (has_flag(flags, "trace")) util::trace::open(flags.at("trace"));
-    if (has_flag(flags, "metrics-json")) metrics_json_path = flags.at("metrics-json");
+    if (p.has("trace")) util::trace::open(p.text("trace"));
+    metrics_json_path = p.text("metrics_json", "");
     rc = [&]() -> int {
-      if (cmd == "characterize") return cmd_characterize(flags);
-      if (cmd == "estimate") return cmd_estimate(flags);
-      if (cmd == "netlist") return cmd_netlist(flags);
-      if (cmd == "mc") return cmd_mc(flags);
-      if (cmd == "batch") return cmd_batch(flags);
-      if (cmd == "gen-netlist") return cmd_gen_netlist(flags);
-      if (cmd == "sweep") return cmd_sweep(flags);
-      if (cmd == "liberty") return cmd_liberty(flags);
-      if (cmd == "spice") return cmd_spice(flags);
-      if (cmd == "corners") return cmd_corners(flags);
-      if (cmd == "sensitivity") return cmd_sensitivity(flags);
+      if (cmd == "characterize") return cmd_characterize(p);
+      if (cmd == "estimate") return cmd_estimate(p);
+      if (cmd == "netlist") return cmd_netlist(p);
+      if (cmd == "mc") return cmd_mc(p);
+      if (cmd == "batch") return cmd_batch(p);
+      if (cmd == "gen-netlist") return cmd_gen_netlist(p);
+      if (cmd == "sweep") return cmd_sweep(p);
+      if (cmd == "liberty") return cmd_liberty(p);
+      if (cmd == "spice") return cmd_spice(p);
+      if (cmd == "corners") return cmd_corners(p);
+      if (cmd == "sensitivity") return cmd_sensitivity(p);
       usage_exit(("unknown command: " + cmd).c_str());
     }();
-  } catch (const Error& e) {
+  } catch (...) {
     // Exit-code contract: 1 = internal bug, 2 = usage/config, 3 = parse,
-    // 4 = numerical, 5 = io.
-    if (json_errors) {
-      std::fprintf(stderr, "%s\n", error_json(e).c_str());
-    } else {
-      std::fprintf(stderr, "error: %s\n", e.message().c_str());
-      if (e.code() == ErrorCode::kContract)
-        std::fprintf(stderr, "this is a bug in rgleak, not in your input; please report it\n");
-    }
-    rc = exit_code_for(e.code());
-  } catch (const std::bad_alloc&) {
-    // An allocation that escaped every charged arena: still a typed exit.
-    if (json_errors)
-      std::fprintf(stderr, "{\"error\":\"resource\",\"message\":\"allocation failed\"}\n");
-    else
-      std::fprintf(stderr, "error: allocation failed (out of memory)\n");
-    rc = 8;
-  } catch (const std::exception& e) {
-    if (json_errors)
-      std::fprintf(stderr, "%s\n", error_json(e).c_str());
-    else
-      std::fprintf(stderr, "error: %s\n", e.what());
-    rc = 1;
+    // 4 = numerical, 5 = io, 8 = resource.
+    rc = report_current_exception(json_errors);
   }
   if (!metrics_json_path.empty()) {
     // Best effort: a failed observability dump must not change the command's

@@ -24,7 +24,6 @@
 // Exit 0 on pass, 1 on any violation (each reported on stderr), 2 on usage.
 
 #include <algorithm>
-#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -35,11 +34,13 @@
 #include "service/jsonio.h"
 #include "util/crc32.h"
 #include "util/error.h"
+#include "util/format.h"
 
 namespace {
 
 using rgleak::service::JsonObject;
 using rgleak::service::parse_json_object;
+using rgleak::util::parse_int;
 
 struct SpanRec {
   std::string id;
@@ -57,28 +58,14 @@ struct SpanRec {
 // between two adjacent loads, far below any real clock defect.
 constexpr std::int64_t kMonotoneSlackNs = 100'000'000;
 
-bool parse_i64(const std::string& s, std::int64_t& out) {
-  const char* b = s.data();
-  const char* e = b + s.size();
-  const auto [p, ec] = std::from_chars(b, e, out);
-  return ec == std::errc() && p == e;
-}
-
-bool parse_u64(const std::string& s, std::uint64_t& out) {
-  const char* b = s.data();
-  const char* e = b + s.size();
-  const auto [p, ec] = std::from_chars(b, e, out);
-  return ec == std::errc() && p == e;
-}
-
 // Splits "<pid>:<seq>".
 bool parse_span_id(const std::string& id, long& pid, std::uint64_t& seq) {
   const auto colon = id.find(':');
   if (colon == std::string::npos || colon == 0 || colon + 1 >= id.size()) return false;
   std::int64_t p = 0;
   std::uint64_t q = 0;
-  if (!parse_i64(id.substr(0, colon), p) || p <= 0) return false;
-  if (!parse_u64(id.substr(colon + 1), q)) return false;
+  if (!parse_int(id.substr(0, colon), p) || p <= 0) return false;
+  if (!parse_int(id.substr(colon + 1), q)) return false;
   pid = static_cast<long>(p);
   seq = q;
   return true;
@@ -92,28 +79,15 @@ void fail(std::size_t line, const std::string& msg) {
     std::fprintf(stderr, "trace_check: line %zu: %s\n", line, msg.c_str());
 }
 
-// Verifies and strips the crc trailer; journal convention (service/job.cpp):
-// the crc is computed over the record as rendered WITHOUT the trailer, i.e.
-// base = line minus the 18-char `,"crc":"xxxxxxxx"}` suffix plus `}`.
-bool check_crc(const std::string& body, std::size_t line) {
-  constexpr std::size_t kCrcSuffixLen = 18;  // ,"crc":"xxxxxxxx"}
-  if (body.size() <= kCrcSuffixLen ||
-      body.compare(body.size() - kCrcSuffixLen, 8, ",\"crc\":\"") != 0 ||
-      body.back() != '}' || body[body.size() - 2] != '"') {
-    fail(line, "missing crc trailer");
-    return false;
+// Verifies and strips the crc trailer (the journal's, util/crc32.h).
+bool check_crc(std::string& record, std::size_t line) {
+  switch (rgleak::util::strip_crc_trailer(record)) {
+    case rgleak::util::CrcTrailer::kOk: return true;
+    case rgleak::util::CrcTrailer::kAbsent: fail(line, "missing crc trailer"); return false;
+    case rgleak::util::CrcTrailer::kBad: break;
   }
-  std::uint32_t want = 0;
-  if (!rgleak::util::parse_crc32_hex(body.substr(body.size() - 10, 8), want)) {
-    fail(line, "malformed crc trailer");
-    return false;
-  }
-  const std::string base = body.substr(0, body.size() - kCrcSuffixLen) + "}";
-  if (rgleak::util::crc32(base) != want) {
-    fail(line, "crc mismatch (record corrupt or truncated)");
-    return false;
-  }
-  return true;
+  fail(line, "bad crc trailer (malformed, or record corrupt or truncated)");
+  return false;
 }
 
 }  // namespace
@@ -125,7 +99,7 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--min-spans" && i + 1 < argc) {
       std::uint64_t n = 0;
-      if (!parse_u64(argv[++i], n)) {
+      if (!parse_int(argv[++i], n)) {
         std::fprintf(stderr, "trace_check: bad --min-spans value\n");
         return 2;
       }
@@ -165,8 +139,8 @@ int main(int argc, char** argv) {
       continue;
     }
     bool complete = true;
-    for (const char* key : {"span", "parent", "name", "job", "attempt", "t_ns", "wall_ns",
-                            "outcome", "crc"}) {
+    for (const char* key :
+         {"span", "parent", "name", "job", "attempt", "t_ns", "wall_ns", "outcome"}) {
       if (obj.find(key) == obj.end()) {
         fail(lineno, std::string("missing field \"") + key + "\"");
         complete = false;
@@ -184,9 +158,9 @@ int main(int argc, char** argv) {
     }
     if (rec.name.empty()) fail(lineno, "empty span name");
     if (obj.at("outcome").empty()) fail(lineno, "empty outcome");
-    if (!parse_i64(obj.at("t_ns"), rec.t_ns) || rec.t_ns <= 0)
+    if (!parse_int(obj.at("t_ns"), rec.t_ns) || rec.t_ns <= 0)
       fail(lineno, "bad t_ns: " + obj.at("t_ns"));
-    if (!parse_i64(obj.at("wall_ns"), rec.wall_ns) || rec.wall_ns < 0)
+    if (!parse_int(obj.at("wall_ns"), rec.wall_ns) || rec.wall_ns < 0)
       fail(lineno, "bad wall_ns: " + obj.at("wall_ns"));
     const auto [it, inserted] = by_id.emplace(rec.id, spans.size());
     if (!inserted) {
