@@ -117,11 +117,15 @@ std::uint64_t CostModel::mc_worker_bytes(std::size_t padded_rows, std::size_t pa
                                          std::size_t rows, std::size_t cols, std::size_t gates) {
   const std::uint64_t pad = static_cast<std::uint64_t>(padded_rows) * padded_cols;
   const std::uint64_t sites = static_cast<std::uint64_t>(rows) * cols;
-  // Sampler copy: column-major sqrt-eigenvalue table + spare-field cache
-  // (the FFT plan is shared between copies and charged once by the owner).
-  const std::uint64_t sampler = pad * sizeof(double) + sites * sizeof(double);
-  // FieldWorkspace: freq + scratch padded complex buffers.
-  const std::uint64_t field_ws = 2 * pad * sizeof(std::complex<double>);
+  // Sampler copy: column-major sqrt-eigenvalue table, spare-field cache, and
+  // its own column and row FFT plans.
+  const std::uint64_t sampler = pad * sizeof(double) + sites * sizeof(double) +
+                                math::FftPlan::table_bytes(padded_rows) +
+                                math::FftPlan::table_bytes(padded_cols);
+  // FieldWorkspace: column-pass scratch over the padded grid + row-pass
+  // buffer over the kept rows.
+  const std::uint64_t field_ws =
+      (pad + static_cast<std::uint64_t>(rows) * padded_cols) * sizeof(std::complex<double>);
   // McWorkspace: wid field + per-gate table ids.
   const std::uint64_t mc_ws = sites * sizeof(double) + gates * sizeof(std::uint32_t);
   return sampler + field_ws + mc_ws;

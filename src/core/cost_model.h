@@ -88,8 +88,9 @@ class CostModel {
   static std::uint64_t exact_fft_bytes(std::size_t rows, std::size_t cols, std::size_t types);
 
   /// Per-worker arenas of the MC engine: the worker's field-sampler copy
-  /// (eigenvalue table + spare-field cache on the padded grid), FFT
-  /// workspace, WID field buffer, and per-gate table ids. `padded_rows/cols`
+  /// (eigenvalue table on the padded grid, spare-field cache, column and row
+  /// FFT plans), FFT workspace (padded-grid scratch + kept-rows buffer), WID
+  /// field buffer, and per-gate table ids. `padded_rows/cols`
   /// come from GridFieldSampler::padded_dim (or the sampler's accessors once
   /// built).
   static std::uint64_t mc_worker_bytes(std::size_t padded_rows, std::size_t padded_cols,

@@ -99,95 +99,57 @@ FftPlan::FftPlan(std::size_t n) : n_(n) {
 }
 
 template <bool Inverse>
-void FftPlan::run_impl(std::complex<double>* a) const {
+void FftPlan::butterflies(double* a, std::size_t keep) const {
+  // `a` holds n (re, im) pairs; element i is a[2i], a[2i+1].
   const std::size_t n = n_;
-  if (n <= 1) return;
   for (std::size_t i = 1; i < n; ++i) {
     const std::size_t j = bitrev_[i];
-    if (i < j) std::swap(a[i], a[j]);
+    if (i < j) {
+      std::swap(a[2 * i], a[2 * j]);
+      std::swap(a[2 * i + 1], a[2 * j + 1]);
+    }
   }
-  std::size_t off = 0;
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const std::complex<double>* tw = twiddle_.data() + off;
-    const std::size_t half = len / 2;
-    for (std::size_t i = 0; i < n; i += len) {
-      for (std::size_t k = 0; k < half; ++k) {
-        const std::complex<double> w = Inverse ? std::conj(tw[k]) : tw[k];
-        const std::complex<double> u = a[i + k];
-        const std::complex<double> v = a[i + k + half] * w;
-        a[i + k] = u + v;
-        a[i + k + half] = u - v;
+  // Stage `half` combines pairs half apart with twiddles w_{2 half}^k, which
+  // start at table offset half - 1. v = x * w is spelled (xr wr - xi wi,
+  // xr wi + xi wr), the order std::complex multiplies in.
+  const double* tw = reinterpret_cast<const double*>(twiddle_.data());
+  for (std::size_t half = 1; half < n; half <<= 1) {
+    const double* w = tw + 2 * (half - 1);
+    const std::size_t live = std::min(half, keep);
+    for (std::size_t i = 0; i < n; i += 2 * half) {
+      double* lo = a + 2 * i;
+      double* hi = lo + 2 * half;
+      for (std::size_t k = 0; k < live; ++k) {
+        const double wr = w[2 * k];
+        const double wi = Inverse ? -w[2 * k + 1] : w[2 * k + 1];
+        const double xr = hi[2 * k], xi = hi[2 * k + 1];
+        const double vr = xr * wr - xi * wi;
+        const double vi = xr * wi + xi * wr;
+        const double ur = lo[2 * k], ui = lo[2 * k + 1];
+        lo[2 * k] = ur + vr;
+        lo[2 * k + 1] = ui + vi;
+        hi[2 * k] = ur - vr;
+        hi[2 * k + 1] = ui - vi;
       }
     }
-    off += half;
   }
-  if (Inverse) {
-    const double inv = 1.0 / static_cast<double>(n);
-    for (std::size_t i = 0; i < n; ++i) a[i] *= inv;
-  }
+}
+
+void FftPlan::run_unscaled(std::complex<double>* a, bool inverse, std::size_t keep) const {
+  // A complex array is layout-compatible with (re, im) double pairs.
+  double* d = reinterpret_cast<double*>(a);
+  if (inverse)
+    butterflies<true>(d, keep);
+  else
+    butterflies<false>(d, keep);
 }
 
 void FftPlan::run(std::complex<double>* a, bool inverse) const {
-  if (inverse)
-    run_impl<true>(a);
-  else
-    run_impl<false>(a);
-}
-
-namespace {
-
-/// Cache-blocked out-of-place transpose of a rows x cols row-major array,
-/// writing only the first `dst_rows` rows of the transposed result (i.e. the
-/// first dst_rows columns of src). The 2-D plans use it to turn strided
-/// column transforms into contiguous row transforms — a power-of-two row
-/// stride would otherwise map a whole column onto a handful of L1 sets — and
-/// the output-pruned paths use dst_rows to skip the back-transpose of rows
-/// nobody will read.
-void blocked_transpose(const std::complex<double>* src, std::complex<double>* dst,
-                       std::size_t rows, std::size_t cols, std::size_t dst_rows) {
-  constexpr std::size_t kBlock = 16;
-  const std::size_t jn = std::min(dst_rows, cols);
-  for (std::size_t i0 = 0; i0 < rows; i0 += kBlock) {
-    const std::size_t i1 = std::min(i0 + kBlock, rows);
-    for (std::size_t j0 = 0; j0 < jn; j0 += kBlock) {
-      const std::size_t j1 = std::min(j0 + kBlock, jn);
-      for (std::size_t i = i0; i < i1; ++i)
-        for (std::size_t j = j0; j < j1; ++j) dst[j * rows + i] = src[i * cols + j];
-    }
+  run_unscaled(a, inverse, n_);
+  if (inverse) {
+    const double inv = 1.0 / static_cast<double>(n_);
+    for (std::size_t i = 0; i < n_; ++i) a[i] *= inv;
   }
-}
-
-}  // namespace
-
-FftPlan2D::FftPlan2D(std::size_t rows, std::size_t cols) : row_fft_(cols), col_fft_(rows) {}
-
-void FftPlan2D::run(std::vector<std::complex<double>>& data, bool inverse,
-                    std::vector<std::complex<double>>& scratch) const {
-  run_top_rows(data, inverse, scratch, rows());
-}
-
-void FftPlan2D::run_top_rows(std::vector<std::complex<double>>& data, bool inverse,
-                             std::vector<std::complex<double>>& scratch,
-                             std::size_t keep_rows) const {
-  const std::size_t r_n = rows(), c_n = cols();
-  RGLEAK_REQUIRE(data.size() == r_n * c_n, "fft2d plan: data size mismatch");
-  // Column pass first so the (possibly pruned) row pass is the final one:
-  // output row r then depends only on intermediate row r.
-  scratch.resize(r_n * c_n);
-  blocked_transpose(data.data(), scratch.data(), r_n, c_n, c_n);
-  run_top_rows_colmajor(scratch, inverse, data, keep_rows);
-}
-
-void FftPlan2D::run_top_rows_colmajor(std::vector<std::complex<double>>& data, bool inverse,
-                                      std::vector<std::complex<double>>& out,
-                                      std::size_t keep_rows) const {
-  const std::size_t r_n = rows(), c_n = cols();
-  RGLEAK_REQUIRE(data.size() == r_n * c_n, "fft2d plan: data size mismatch");
-  out.resize(r_n * c_n);
-  for (std::size_t c = 0; c < c_n; ++c) col_fft_.run(data.data() + c * r_n, inverse);
-  const std::size_t kr = std::min(keep_rows, r_n);
-  blocked_transpose(data.data(), out.data(), c_n, r_n, kr);
-  for (std::size_t r = 0; r < kr; ++r) row_fft_.run(out.data() + r * c_n, inverse);
 }
 
 CrossCorrelator2D::CrossCorrelator2D(std::size_t rows, std::size_t cols)

@@ -25,79 +25,49 @@ std::size_t next_pow2(std::size_t n);
 /// This removes the sequential `w *= w_len` recurrence from the butterfly
 /// inner loop (a long dependency chain that also accumulates rounding error),
 /// and makes run() allocation-free — the substrate for the Monte-Carlo
-/// engine's per-worker FFT workspaces.
+/// field sampler's per-column and per-row transforms.
+///
+/// The butterflies work on explicit (re, im) doubles rather than
+/// std::complex, whose multiply carries an inf/NaN recovery branch that
+/// keeps the inner loop scalar. For finite inputs the arithmetic is the same
+/// operation for operation, so results match the std::complex kernel bit for
+/// bit.
 class FftPlan {
  public:
   explicit FftPlan(std::size_t n);  // n must be a power of two
 
-  std::size_t size() const { return n_; }
-
-  /// Bytes held by the precomputed tables (twiddles + bit-reversal). The
-  /// memory cost model charges plans by this, not by transform length, so
-  /// budget accounting matches what the plan actually pins.
-  std::size_t plan_bytes() const {
-    return bitrev_.capacity() * sizeof(std::uint32_t) +
-           twiddle_.capacity() * sizeof(std::complex<double>);
+  /// Bytes a plan of length n holds in its tables (bit-reversal + twiddles).
+  /// The memory cost model charges plans by this, not by transform length,
+  /// so budget accounting matches what the plan actually pins.
+  static std::size_t table_bytes(std::size_t n) {
+    return n * sizeof(std::uint32_t) + (n - 1) * sizeof(std::complex<double>);
   }
+  std::size_t plan_bytes() const { return table_bytes(n_); }
 
   /// In-place transform of `a[0..n)`. Same transform (and scaling convention)
   /// as fft(): `inverse` conjugates the twiddles and applies 1/N.
   void run(std::complex<double>* a, bool inverse) const;
 
+  /// run() without the inverse's 1/N pass. Callers that already multiply
+  /// their input by a power-of-two-exact factor fold the 1/N into it: the
+  /// scaling then commutes with every butterfly, and the result equals
+  /// run()'s bit for bit (outside the subnormal range).
+  ///
+  /// Only outputs [0, keep) are wanted: butterflies that feed none of them
+  /// are skipped (in the stage pairing elements `half` apart, only the first
+  /// min(half, keep) of each block). The kept outputs are bit-identical to
+  /// the full transform's; the rest are garbage.
+  void run_unscaled(std::complex<double>* a, bool inverse, std::size_t keep) const;
+
  private:
   template <bool Inverse>
-  void run_impl(std::complex<double>* a) const;
+  void butterflies(double* a, std::size_t keep) const;
 
   std::size_t n_;
   std::vector<std::uint32_t> bitrev_;
   /// Forward twiddles w_len^k, k < len/2, concatenated for len = 2, 4, ..., n;
   /// stage `len` starts at offset len/2 - 1.
   std::vector<std::complex<double>> twiddle_;
-};
-
-/// Precomputed 2-D FFT plan with caller-owned full-grid scratch: the same
-/// transform as fft2d(), but zero allocations per call once `scratch` has
-/// warmed up. Copyable (workers clone their sampler's plan with it).
-///
-/// The column pass runs as blocked transpose + contiguous row transforms +
-/// blocked transpose back, instead of gathering each column with a
-/// cache-hostile power-of-two stride (on a 128x128 grid the strided gather
-/// maps every element of a column to a couple of L1 sets).
-class FftPlan2D {
- public:
-  FftPlan2D(std::size_t rows, std::size_t cols);  // both powers of two
-
-  std::size_t rows() const { return col_fft_.size(); }
-  std::size_t cols() const { return row_fft_.size(); }
-
-  /// Bytes pinned by the two 1-D plans (see FftPlan::plan_bytes).
-  std::size_t plan_bytes() const { return row_fft_.plan_bytes() + col_fft_.plan_bytes(); }
-
-  /// Full 2-D transform; `scratch` grows to rows*cols and is reused.
-  void run(std::vector<std::complex<double>>& data, bool inverse,
-           std::vector<std::complex<double>>& scratch) const;
-
-  /// Output-pruned transform: identical to run() on rows [0, keep_rows) of
-  /// the output, but skips the back-transpose and final per-row transforms of
-  /// the rest (rows >= keep_rows keep whatever `data` held on entry). The
-  /// circulant field sampler reads only the top rows of its padded grid,
-  /// which makes 5/8 of the last pass dead work at typical padding ratios.
-  void run_top_rows(std::vector<std::complex<double>>& data, bool inverse,
-                    std::vector<std::complex<double>>& scratch, std::size_t keep_rows) const;
-
-  /// Column-major variant of run_top_rows for callers that can produce their
-  /// input already transposed (`data[c * rows() + r]` holds grid point
-  /// (r, c)): the column transforms then run contiguously in place with no
-  /// input transpose at all. On return `out` is row-major with rows
-  /// [0, keep_rows) transformed exactly as run() would leave them; rows >=
-  /// keep_rows are untouched. `data` is consumed (holds column-pass
-  /// intermediates).
-  void run_top_rows_colmajor(std::vector<std::complex<double>>& data, bool inverse,
-                             std::vector<std::complex<double>>& out, std::size_t keep_rows) const;
-
- private:
-  FftPlan row_fft_;  // length-cols transform applied to each row
-  FftPlan col_fft_;  // length-rows transform applied to each column
 };
 
 /// Linear (zero-padded, non-circular) 2-D cross-correlation of real

@@ -18,6 +18,20 @@ std::uint64_t splitmix64(std::uint64_t& x) {
 
 std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
+/// One xoshiro256++ step on `s`. Bulk draws run it on a local copy of the
+/// engine state so the four words stay in registers across the loop.
+inline std::uint64_t xoshiro_next(std::array<std::uint64_t, 4>& s) {
+  const std::uint64_t result = rotl(s[0] + s[3], 23) + s[0];
+  const std::uint64_t t = s[1] << 17;
+  s[2] ^= s[0];
+  s[3] ^= s[1];
+  s[1] ^= s[2];
+  s[0] ^= s[3];
+  s[2] ^= t;
+  s[3] = rotl(s[3], 45);
+  return result;
+}
+
 // 256-layer ziggurat for the standard normal (Marsaglia & Tsang layout, 64-bit
 // draws). One u64 supplies layer index, sign, and a 52-bit offset; ~99% of
 // samples resolve with a single table compare and multiply, which is what makes
@@ -58,6 +72,24 @@ const ZigguratTables& zig() {
   static const ZigguratTables tables;
   return tables;
 }
+
+/// |x| with the sign of draw bit 8, applied as a sign-bit flip: a `? -x : x`
+/// compiles to a branch that mispredicts on half of all draws.
+inline double apply_sign(double x, std::uint64_t d) {
+  return std::bit_cast<double>(std::bit_cast<std::uint64_t>(x) ^ ((d >> 8 & 1) << 63));
+}
+
+/// The ziggurat fast path: true, with the normal in `x`, when the draw's
+/// 52-bit offset falls inside its layer's inscribed box. The offset converts
+/// through int64_t (exact below 2^52), a single instruction where the
+/// unsigned conversion needs a fix-up sequence.
+inline bool zig_fast(const ZigguratTables& t, std::uint64_t d, double& x) {
+  const std::size_t idx = d & (kZigLayers - 1);
+  const std::uint64_t off = (d >> 9) & kZigMantissaMask;
+  if (off >= t.k[idx]) return false;
+  x = apply_sign(static_cast<double>(static_cast<std::int64_t>(off)) * t.w[idx], d);
+  return true;
+}
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
@@ -65,17 +97,7 @@ Rng::Rng(std::uint64_t seed) {
   for (auto& w : state_) w = splitmix64(s);
 }
 
-Rng::result_type Rng::operator()() {
-  const std::uint64_t result = rotl(state_[0] + state_[3], 23) + state_[0];
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
+Rng::result_type Rng::operator()() { return xoshiro_next(state_); }
 
 double Rng::uniform() {
   // 53 high bits -> double in [0,1).
@@ -105,25 +127,20 @@ double Rng::normal() {
     has_spare_ = false;
     return spare_;
   }
-  const ZigguratTables& t = zig();
   const std::uint64_t d = (*this)();
-  const std::size_t idx = d & (kZigLayers - 1);
-  const std::uint64_t off = (d >> 9) & kZigMantissaMask;
-  if (off < t.k[idx]) {  // inside the layer's inscribed box (~99% of draws)
-    const double x = static_cast<double>(off) * t.w[idx];
-    return (d >> 8) & 1 ? -x : x;
-  }
+  double x;
+  if (zig_fast(zig(), d, x)) return x;  // inside the layer's inscribed box (~99% of draws)
   return normal_slow(d);
 }
 
 double Rng::normal_slow(std::uint64_t d) {
   const ZigguratTables& t = zig();
   for (;;) {
+    double x;
+    if (zig_fast(t, d, x)) return x;  // retry landed in an inscribed box
     const std::size_t idx = d & (kZigLayers - 1);
     const bool neg = (d >> 8) & 1;
-    const std::uint64_t off = (d >> 9) & kZigMantissaMask;
-    const double x = static_cast<double>(off) * t.w[idx];
-    if (off < t.k[idx]) return neg ? -x : x;  // retry landed in an inscribed box
+    x = static_cast<double>((d >> 9) & kZigMantissaMask) * t.w[idx];
     if (idx == 0) {
       // Base strip beyond kZigR: Marsaglia's exact tail sampler.
       double xx, yy;
@@ -154,24 +171,24 @@ std::vector<double> Rng::normal_vector(std::size_t n) {
 void Rng::normal_fill(double* out, std::size_t n) {
   // Identical stream to n calls of normal(); the ziggurat fast path is
   // inlined here so bulk fills (the MC field draw is ~10^5 normals) skip the
-  // per-call function and table-guard overhead.
+  // per-call function and table-guard overhead. The engine state lives in a
+  // local for the loop and goes back to state_ only around normal_slow, which
+  // draws from the member engine.
   std::size_t i = 0;
   if (has_spare_ && n > 0) {
     has_spare_ = false;
     out[i++] = spare_;
   }
   const ZigguratTables& t = zig();
-  while (i < n) {
-    const std::uint64_t d = (*this)();
-    const std::size_t idx = d & (kZigLayers - 1);
-    const std::uint64_t off = (d >> 9) & kZigMantissaMask;
-    if (off < t.k[idx]) {
-      const double x = static_cast<double>(off) * t.w[idx];
-      out[i++] = (d >> 8) & 1 ? -x : x;
-      continue;
-    }
-    out[i++] = normal_slow(d);
+  std::array<std::uint64_t, 4> s = state_;
+  for (; i < n; ++i) {
+    const std::uint64_t d = xoshiro_next(s);
+    if (zig_fast(t, d, out[i])) continue;
+    state_ = s;
+    out[i] = normal_slow(d);
+    s = state_;
   }
+  state_ = s;
 }
 
 bool Rng::bernoulli(double p) {

@@ -21,34 +21,44 @@ std::size_t GridFieldSampler::padded_dim(std::size_t n, double pitch_nm, double 
 
 std::size_t GridFieldSampler::footprint_bytes() const {
   return sqrt_eig_.capacity() * sizeof(double) + cached_.capacity() * sizeof(double) +
-         (plan_ != nullptr ? plan_->plan_bytes() : 0);
+         col_fft_.plan_bytes() + row_fft_.plan_bytes();
 }
 
+namespace {
+
+/// padded_dim() along one axis at the anisotropy-scaled pitch (rho is
+/// evaluated at hypot(dx/ax, dy/ay)). Checks pitch and scale first: the
+/// members sized from it are built before the constructor body runs.
+std::size_t axis_padding(std::size_t n, double pitch_nm, double scale, double range_nm) {
+  RGLEAK_REQUIRE(pitch_nm > 0.0, "site pitch must be positive");
+  RGLEAK_REQUIRE(scale > 0.0, "anisotropy scales must be positive");
+  return GridFieldSampler::padded_dim(n, pitch_nm / scale, range_nm);
+}
+
+}  // namespace
+
+// Periodic embedding (powers of two for the FFT). The embedding is exact
+// when the padded half-domain exceeds the kernel range (no wrap-around
+// correlation); pad up to that point, capped at 4x the grid to bound memory
+// for very long-range kernels (the residual shows up in
+// clamped_eigenvalue_fraction()).
 GridFieldSampler::GridFieldSampler(std::size_t rows, std::size_t cols, double dx_nm, double dy_nm,
                                    const SpatialCorrelation& rho, double sigma,
                                    CorrelationAnisotropy anisotropy)
-    : rows_(rows), cols_(cols) {
+    : rows_(rows),
+      cols_(cols),
+      prow_(axis_padding(rows, dy_nm, anisotropy.scale_y, rho.range_nm())),
+      pcol_(axis_padding(cols, dx_nm, anisotropy.scale_x, rho.range_nm())),
+      col_fft_(prow_),
+      row_fft_(pcol_) {
   RGLEAK_REQUIRE(rows >= 1 && cols >= 1, "grid must be non-empty");
-  RGLEAK_REQUIRE(dx_nm > 0.0 && dy_nm > 0.0, "site pitch must be positive");
   RGLEAK_REQUIRE(sigma >= 0.0, "sigma must be non-negative");
-  RGLEAK_REQUIRE(anisotropy.scale_x > 0.0 && anisotropy.scale_y > 0.0,
-                 "anisotropy scales must be positive");
-  // Fold the anisotropy into effective pitches: rho is evaluated at
-  // hypot(dx/ax, dy/ay).
   dx_nm /= anisotropy.scale_x;
   dy_nm /= anisotropy.scale_y;
 
-  // Periodic embedding (powers of two for the FFT). The embedding is exact
-  // when the padded half-domain exceeds the kernel range (no wrap-around
-  // correlation); pad up to that point, capped at 4x the grid to bound
-  // memory for very long-range kernels (the residual shows up in
-  // clamped_eigenvalue_fraction()).
-  prow_ = padded_dim(rows, dy_nm, rho.range_nm());
-  pcol_ = padded_dim(cols, dx_nm, rho.range_nm());
-
-  // The big arena of this constructor: the padded kernel grid, the FFT plan,
-  // and the eigenvalue table all scale with prow_*pcol_. An injected (or
-  // real) bad_alloc here is translated to ResourceError by callers.
+  // The big arena of this constructor: the padded kernel grid and the
+  // eigenvalue table scale with prow_*pcol_. An injected (or real) bad_alloc
+  // here is translated to ResourceError by callers.
   RGLEAK_FAILPOINT("process.sampler.alloc");
 
   // First row of the block-circulant covariance: wrap-around distances.
@@ -66,8 +76,12 @@ GridFieldSampler::GridFieldSampler(std::size_t rows, std::size_t cols, double dx
   }
 
   math::fft2d(kernel, prow_, pcol_, /*inverse=*/false);
-  plan_ = std::make_shared<const math::FftPlan2D>(prow_, pcol_);
 
+  // The inverse column and row transforms' 1/prow_ and 1/pcol_ passes fold
+  // in here. Both are powers of two, so the product is exact and scaling the
+  // noise by it up front commutes with every butterfly: the draw keeps the
+  // bits of scaling after each pass.
+  const double inv_np = 1.0 / static_cast<double>(prow_) / static_cast<double>(pcol_);
   sqrt_eig_.resize(prow_ * pcol_);
   double max_eig = 0.0, worst_neg = 0.0;
   for (std::size_t r = 0; r < prow_; ++r)
@@ -75,8 +89,8 @@ GridFieldSampler::GridFieldSampler(std::size_t rows, std::size_t cols, double dx
       const double lambda = kernel[r * pcol_ + c].real();  // imaginary parts are FFT noise
       max_eig = std::max(max_eig, lambda);
       worst_neg = std::min(worst_neg, lambda);
-      // Column-major: matches the transposed noise layout of sample_into.
-      sqrt_eig_[c * prow_ + r] = lambda > 0.0 ? std::sqrt(lambda) : 0.0;
+      // Column-major: matches the noise layout of sample_into.
+      sqrt_eig_[c * prow_ + r] = (lambda > 0.0 ? std::sqrt(lambda) : 0.0) * inv_np;
     }
   clamped_fraction_ = max_eig > 0.0 ? -worst_neg / max_eig : 0.0;
 
@@ -111,22 +125,39 @@ void GridFieldSampler::sample_into(math::Rng& rng, FieldWorkspace& ws, std::vect
     std::copy(cached_.begin(), cached_.end(), out.begin());
     return;
   }
-  const std::size_t np = prow_ * pcol_;
-  ws.scratch.resize(np);
-  // White noise straight into the transposed (column-major) layout the FFT's
-  // column pass consumes, colored by the matching column-major eigenvalue
-  // roots: no input transpose. A complex array is layout-compatible with
-  // (re, im) double pairs, so the bulk normal_fill draws the same stream as
-  // elementwise {normal(), normal()} fills.
-  rng.normal_fill(reinterpret_cast<double*>(ws.scratch.data()), 2 * np);
-  for (std::size_t i = 0; i < np; ++i) ws.scratch[i] *= sqrt_eig_[i];
-  // Only the top rows_ rows of the padded grid are unpacked below; prune the
-  // back-transpose and final FFT pass to them.
-  plan_->run_top_rows_colmajor(ws.scratch, /*inverse=*/true, ws.freq, rows_);
+  // Column pass, one padded column at a time while it sits in L1: white
+  // noise, coloured by the column-major eigenvalue roots, inverse-transformed
+  // with only the rows_ kept rows wanted. Consecutive columns are consecutive
+  // in the stream, so the per-column fills draw what one bulk fill of the
+  // column-major grid would; and a complex array is layout-compatible with
+  // (re, im) double pairs, so each fill draws the same stream as elementwise
+  // {normal(), normal()} fills.
+  ws.scratch.resize(prow_ * pcol_);
+  for (std::size_t c = 0; c < pcol_; ++c) {
+    std::complex<double>* col = ws.scratch.data() + c * prow_;
+    const double* root = sqrt_eig_.data() + c * prow_;
+    rng.normal_fill(reinterpret_cast<double*>(col), 2 * prow_);
+    for (std::size_t r = 0; r < prow_; ++r) col[r] *= root[r];
+    col_fft_.run_unscaled(col, /*inverse=*/true, /*keep=*/rows_);
+  }
+  // Row pass over the kept rows only: transpose them out of the column-major
+  // grid a few columns at a time (each output row segment is whole cache
+  // lines), then transform each with only the cols_ kept columns wanted.
+  constexpr std::size_t kBlock = 8;
+  ws.freq.resize(rows_ * pcol_);
+  for (std::size_t c0 = 0; c0 < pcol_; c0 += kBlock) {
+    const std::size_t c1 = std::min(c0 + kBlock, pcol_);
+    for (std::size_t r = 0; r < rows_; ++r)
+      for (std::size_t c = c0; c < c1; ++c) ws.freq[r * pcol_ + c] = ws.scratch[c * prow_ + r];
+  }
+  for (std::size_t r = 0; r < rows_; ++r)
+    row_fft_.run_unscaled(ws.freq.data() + r * pcol_, /*inverse=*/true, /*keep=*/cols_);
 
   // y = sqrt(N) * IFFT(sqrt(lambda) .* eps) has E[Re(y) Re(y)^T] = C; the
-  // imaginary part is a second independent sample that we cache.
-  const double scale = std::sqrt(static_cast<double>(np));
+  // imaginary part is a second independent sample that we cache. (The 1/N
+  // of the IFFT is already in sqrt_eig_; sqrt(N) is not a power of two on
+  // non-square embeddings, so it stays here.)
+  const double scale = std::sqrt(static_cast<double>(prow_ * pcol_));
   cached_.resize(rows_ * cols_);
   for (std::size_t r = 0; r < rows_; ++r)
     for (std::size_t c = 0; c < cols_; ++c) {

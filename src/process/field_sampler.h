@@ -11,7 +11,6 @@
 // the covariance matrix is provided.
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 #include "math/fft.h"
@@ -27,8 +26,8 @@ namespace rgleak::process {
 /// padded dimensions on first use and are reused afterwards, so the
 /// steady-state sampling loop performs zero heap allocations.
 struct FieldWorkspace {
-  std::vector<std::complex<double>> freq;     ///< padded-grid FFT buffer
-  std::vector<std::complex<double>> scratch;  ///< 1-D line scratch for the FFT
+  std::vector<std::complex<double>> freq;     ///< kept rows x padded cols, row pass
+  std::vector<std::complex<double>> scratch;  ///< padded grid, column-major, column pass
   std::vector<double> normals;                ///< dense-sampler white noise
 };
 
@@ -55,15 +54,16 @@ class GridFieldSampler {
   static std::size_t padded_dim(std::size_t n, double pitch_nm, double range_nm);
 
   /// Bytes pinned by this sampler instance for its lifetime: the eigenvalue
-  /// table, the spare-field cache, and this copy's share of the (shared,
-  /// immutable) FFT plan. Per-draw FFT scratch lives in FieldWorkspace and is
-  /// charged by the owner of the workspace instead.
+  /// table, the spare-field cache, and its column and row FFT plans. Per-draw
+  /// FFT scratch lives in FieldWorkspace and is charged by the owner of the
+  /// workspace instead.
   std::size_t footprint_bytes() const;
 
-  /// Bytes a FieldWorkspace grows to when used with this sampler (freq +
-  /// scratch buffers at the padded dims).
+  /// Bytes a FieldWorkspace grows to when used with this sampler: the
+  /// column-pass scratch over the whole padded grid plus the row-pass buffer
+  /// over the kept rows.
   std::size_t workspace_bytes() const {
-    return 2 * prow_ * pcol_ * sizeof(std::complex<double>);
+    return (prow_ + rows_) * pcol_ * sizeof(std::complex<double>);
   }
 
   /// One field sample, row-major rows() x cols(). Each call consumes fresh
@@ -74,6 +74,10 @@ class GridFieldSampler {
   /// rows()*cols()) using `ws` for FFT scratch. Draws the same values in the
   /// same order as sample() for an identical RNG state. After the first call
   /// with a given workspace, the steady state performs zero heap allocations.
+  ///
+  /// Each padded column is filled with white noise, coloured and
+  /// inverse-transformed while it sits in L1; then only the rows() kept rows
+  /// are transposed and row-transformed.
   void sample_into(math::Rng& rng, FieldWorkspace& ws, std::vector<double>& out);
 
   /// Largest negative embedding eigenvalue that was clamped to zero, as a
@@ -93,14 +97,13 @@ class GridFieldSampler {
  private:
   std::size_t rows_, cols_;      // requested grid
   std::size_t prow_, pcol_;      // padded periodic grid (powers of two)
-  /// Sqrt of embedding eigenvalues, stored COLUMN-major (index c * prow_ + r):
-  /// the white-noise buffer is filled and colored directly in the transposed
-  /// layout the FFT's contiguous column pass wants, which removes the input
-  /// transpose from every draw.
+  /// Sqrt of embedding eigenvalues times the two inverse transforms' 1/N
+  /// factors (1 / (prow_ * pcol_), a power of two, so the fold is exact),
+  /// stored COLUMN-major (index c * prow_ + r): the white noise is filled and
+  /// colored directly in the layout the contiguous column pass wants.
   std::vector<double> sqrt_eig_;
-  /// Twiddle/bit-reversal plan for the prow_ x pcol_ transforms; shared
-  /// between per-worker copies of the sampler (immutable after construction).
-  std::shared_ptr<const math::FftPlan2D> plan_;
+  math::FftPlan col_fft_;  // length prow_, one per padded column
+  math::FftPlan row_fft_;  // length pcol_, one per kept row
   double clamped_fraction_ = 0.0;
   std::vector<double> cached_;   // second independent field from the last FFT
   bool has_cached_ = false;

@@ -96,6 +96,13 @@ TEST(CostModel, ExactArenaFormulasArePinned) {
   EXPECT_EQ(CostModel::exact_fft_bytes(128, 128, 7), 11137032u);
 }
 
+TEST(CostModel, McWorkerArenaFormulaIsPinned) {
+  // The bench grid (48x48 sites in a 256x256 embedding, one gate per site)
+  // and a non-square 12x30 grid in a 32x64 embedding.
+  EXPECT_EQ(CostModel::mc_worker_bytes(256, 256, 48, 48, 2304), 1825760u);
+  EXPECT_EQ(CostModel::mc_worker_bytes(32, 64, 12, 30, 360), 70528u);
+}
+
 TEST(CostModel, MalformedRecordsAreLocatedParseErrors) {
   // Each fixture's second record (line 5) is bad: a missing wall_ms, a site
   // count that is NaN, negative, beyond size_t, or fractional, an infinite

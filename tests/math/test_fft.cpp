@@ -128,7 +128,7 @@ TEST(FftPlan, MatchesAdHocFftWithinRounding) {
   // w *= w_len recurrence; results agree with fft() to rounding error.
   Rng rng(11);
   for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{8},
-                              std::size_t{128}}) {
+                              std::size_t{256}}) {
     const FftPlan plan(n);
     for (const bool inverse : {false, true}) {
       cvec a(n), b;
@@ -143,75 +143,65 @@ TEST(FftPlan, MatchesAdHocFftWithinRounding) {
   }
 }
 
-TEST(FftPlan, RejectsNonPow2) { EXPECT_THROW(FftPlan(6), ContractViolation); }
-
-TEST(FftPlan2D, MatchesFft2dWithinRounding) {
+TEST(FftPlan, UnscaledInverseTimesOneOverNIsTheScaledInverse) {
+  // The field sampler folds the inverse's 1/N into its input; scaling the
+  // unscaled inverse by 1/N afterwards must give run()'s bits exactly.
   Rng rng(13);
-  const std::size_t rows = 16, cols = 32;
-  const FftPlan2D plan(rows, cols);
-  for (const bool inverse : {false, true}) {
-    cvec a(rows * cols), scratch;
-    for (auto& x : a) x = {rng.normal(), rng.normal()};
-    cvec b = a;
-    fft2d(a, rows, cols, inverse);
-    plan.run(b, inverse, scratch);
-    for (std::size_t i = 0; i < a.size(); ++i)
-      EXPECT_NEAR(std::abs(a[i] - b[i]), 0.0, 1e-10) << "inverse=" << inverse << " i=" << i;
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{8},
+                              std::size_t{256}}) {
+    const FftPlan plan(n);
+    cvec scaled(n);
+    for (auto& x : scaled) x = {rng.normal(), rng.normal()};
+    cvec unscaled = scaled;
+    plan.run(scaled.data(), /*inverse=*/true);
+    plan.run_unscaled(unscaled.data(), /*inverse=*/true, n);
+    const double inv = 1.0 / static_cast<double>(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(unscaled[i].real() * inv, scaled[i].real()) << "n=" << n << " i=" << i;
+      EXPECT_EQ(unscaled[i].imag() * inv, scaled[i].imag()) << "n=" << n << " i=" << i;
+    }
   }
 }
 
-TEST(FftPlan2D, RoundTripIsExactToTolerance) {
+TEST(FftPlan, KeepPrunedTransformIsBitIdenticalOnKeptOutputs) {
+  // The field sampler keeps only the first rows (columns) of each padded
+  // column (row) transform; the pruned butterflies must not touch them.
+  Rng rng(19);
+  const std::size_t n = 64;
+  const FftPlan plan(n);
+  for (const std::size_t keep : {std::size_t{1}, std::size_t{5}, std::size_t{16},
+                                 std::size_t{33}, n}) {
+    for (const bool inverse : {false, true}) {
+      cvec full(n);
+      for (auto& x : full) x = {rng.normal(), rng.normal()};
+      cvec pruned = full;
+      plan.run_unscaled(full.data(), inverse, n);
+      plan.run_unscaled(pruned.data(), inverse, keep);
+      for (std::size_t i = 0; i < keep; ++i) {
+        EXPECT_EQ(pruned[i].real(), full[i].real()) << "keep=" << keep << " i=" << i;
+        EXPECT_EQ(pruned[i].imag(), full[i].imag()) << "keep=" << keep << " i=" << i;
+      }
+    }
+  }
+}
+
+TEST(FftPlan, RoundTripIsExactToTolerance) {
   Rng rng(17);
-  const std::size_t rows = 32, cols = 16;
-  const FftPlan2D plan(rows, cols);
-  cvec v(rows * cols), scratch;
+  const FftPlan plan(64);
+  cvec v(64);
   for (auto& x : v) x = {rng.normal(), rng.normal()};
   const cvec orig = v;
-  plan.run(v, false, scratch);
-  plan.run(v, true, scratch);
-  for (std::size_t i = 0; i < v.size(); ++i)
-    EXPECT_NEAR(std::abs(v[i] - orig[i]), 0.0, 1e-10);
+  plan.run(v.data(), false);
+  plan.run(v.data(), true);
+  for (std::size_t i = 0; i < v.size(); ++i) EXPECT_NEAR(std::abs(v[i] - orig[i]), 0.0, 1e-12);
 }
 
-TEST(FftPlan2D, TopRowsPruningIsBitIdenticalOnKeptRows) {
-  // run_top_rows must produce exactly the bits run() produces on the rows it
-  // keeps — the field sampler's stream depends on it.
-  Rng rng(19);
-  const std::size_t rows = 16, cols = 8, keep = 5;
-  const FftPlan2D plan(rows, cols);
-  cvec full(rows * cols), pruned, scratch_a, scratch_b;
-  for (auto& x : full) x = {rng.normal(), rng.normal()};
-  pruned = full;
-  plan.run(full, true, scratch_a);
-  plan.run_top_rows(pruned, true, scratch_b, keep);
-  for (std::size_t r = 0; r < keep; ++r)
-    for (std::size_t c = 0; c < cols; ++c) {
-      EXPECT_EQ(full[r * cols + c].real(), pruned[r * cols + c].real());
-      EXPECT_EQ(full[r * cols + c].imag(), pruned[r * cols + c].imag());
-    }
+TEST(FftPlan, PlanBytesCountsBothTables) {
+  EXPECT_EQ(FftPlan(1).plan_bytes(), 4u);
+  EXPECT_EQ(FftPlan(256).plan_bytes(), 256u * 4 + 255u * 16);
 }
 
-TEST(FftPlan2D, ColMajorVariantIsBitIdenticalOnKeptRows) {
-  // Feeding the input pre-transposed must reproduce run()'s bits exactly on
-  // the kept rows — the field sampler generates its noise column-major and
-  // relies on this equivalence.
-  Rng rng(23);
-  const std::size_t rows = 32, cols = 16, keep = 7;
-  const FftPlan2D plan(rows, cols);
-  for (const bool inverse : {false, true}) {
-    cvec rowmajor(rows * cols), colmajor(rows * cols), out, scratch;
-    for (auto& x : rowmajor) x = {rng.normal(), rng.normal()};
-    for (std::size_t r = 0; r < rows; ++r)
-      for (std::size_t c = 0; c < cols; ++c) colmajor[c * rows + r] = rowmajor[r * cols + c];
-    plan.run(rowmajor, inverse, scratch);
-    plan.run_top_rows_colmajor(colmajor, inverse, out, keep);
-    for (std::size_t r = 0; r < keep; ++r)
-      for (std::size_t c = 0; c < cols; ++c) {
-        EXPECT_EQ(rowmajor[r * cols + c].real(), out[r * cols + c].real());
-        EXPECT_EQ(rowmajor[r * cols + c].imag(), out[r * cols + c].imag());
-      }
-  }
-}
+TEST(FftPlan, RejectsNonPow2) { EXPECT_THROW(FftPlan(6), ContractViolation); }
 
 TEST(CrossCorrelator2D, MatchesBruteForceOnRandomGrids) {
   Rng rng(7);

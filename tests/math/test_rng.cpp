@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "math/stats.h"
@@ -109,6 +111,59 @@ TEST(Rng, NormalDeepTailFrequency) {
   EXPECT_NEAR(static_cast<double>(beyond) / n, 2.590e-4, 0.4e-4);
   EXPECT_GT(max_abs, 4.0);  // the tail sampler must actually reach past the edge
   EXPECT_LT(max_abs, 7.0);
+}
+
+TEST(Rng, NormalFillMatchesRepeatedNormal) {
+  // normal_fill(n) is the stream of n normal() calls, bit for bit, ending in
+  // the same engine state; the field sampler's per-column fills rely on it.
+  // The fills run in uneven chunks, as the sampler's columns do. Each
+  // normal() is classified by the engine steps it consumed: one is the fast
+  // path, more is a slow path (the tail sampler when |z| is past the base
+  // edge, the wedge otherwise); both must be crossed for the check to mean
+  // anything.
+  constexpr std::size_t kDraws = std::size_t{1} << 20;
+  constexpr double kZigR = 3.6541528853610088;
+  Rng single(2024), bulk(2024);
+  std::vector<double> filled(kDraws);
+  const std::size_t chunks[] = {1, 7, 512, 4096, 33};
+  for (std::size_t at = 0, c = 0; at < kDraws; ++c) {
+    const std::size_t n = std::min(chunks[c % 5], kDraws - at);
+    bulk.normal_fill(filled.data() + at, n);
+    at += n;
+  }
+
+  std::size_t wedge = 0, tail = 0;
+  for (std::size_t i = 0; i < kDraws; ++i) {
+    Rng walker = single;
+    const double z = single.normal();
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(z), std::bit_cast<std::uint64_t>(filled[i]))
+        << "draw " << i;
+    int steps = 0;
+    do {
+      walker();
+      ASSERT_LT(++steps, 1000) << "draw " << i;
+    } while (walker.state().s != single.state().s);
+    if (steps > 1) ++(std::abs(z) >= kZigR ? tail : wedge);
+  }
+  EXPECT_EQ(bulk.state().s, single.state().s);
+  EXPECT_EQ(bulk(), single());
+  // Seed 2024 takes the wedge 15339 times and the tail 279 times.
+  EXPECT_GT(wedge, 1000u);
+  EXPECT_GT(tail, 50u);
+
+  // A legacy spare restored through set_state is consumed first by both.
+  Rng::State st = single.state();
+  st.spare_bits = std::bit_cast<std::uint64_t>(0.625);
+  st.has_spare = true;
+  single.set_state(st);
+  bulk.set_state(st);
+  double out[3];
+  bulk.normal_fill(out, 3);
+  EXPECT_EQ(out[0], 0.625);
+  for (const double v : out) EXPECT_EQ(std::bit_cast<std::uint64_t>(v),
+                                       std::bit_cast<std::uint64_t>(single.normal()));
+  EXPECT_FALSE(bulk.state().has_spare);
+  EXPECT_EQ(bulk.state().s, single.state().s);
 }
 
 TEST(Rng, NormalScaled) {

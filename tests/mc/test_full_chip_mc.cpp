@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <string>
 
 #include "../test_util.h"
 #include "core/estimators.h"
@@ -172,6 +174,38 @@ TEST(FullChipMc, ThreadedStateResamplingDeterministic) {
   EXPECT_DOUBLE_EQ(a.mean_na, b.mean_na);
   EXPECT_DOUBLE_EQ(a.sigma_na, b.sigma_na);
   EXPECT_DOUBLE_EQ(a.p99_na, b.p99_na);
+}
+
+TEST(FullChipMc, ThreadedResultMatchesParentGolden) {
+  // Bit-exact results recorded before the fused per-column field draw
+  // replaced the whole-grid fill and two-pass FFT: the rework keeps every
+  // floating-point operation, so no MC result moves. Serial and threaded,
+  // states resampled per trial, checkpoints on.
+  math::Rng gen(59);
+  const netlist::Netlist nl = generate_random_circuit(mini_library(), test_usage(), 144, gen);
+  const placement::Placement pl(&nl, grid(12, 12));
+  struct Golden {
+    std::size_t threads;
+    double mean, sigma, p99;
+  };
+  for (const Golden& g : {Golden{1, 0x1.8087b7f71669ap+11, 0x1.7f34a7191f30ap+9,
+                                 0x1.460d42e4dcc48p+12},
+                          Golden{3, 0x1.7eb50519da765p+11, 0x1.604379d422d8ep+9,
+                                 0x1.2ab36f3a3eff6p+12}}) {
+    FullChipMcOptions opts;
+    opts.trials = 150;
+    opts.threads = g.threads;
+    opts.seed = 4242;
+    opts.resample_states_per_trial = true;
+    opts.checkpoint_every = 40;
+    opts.checkpoint_path =
+        ::testing::TempDir() + "mc_golden_" + std::to_string(g.threads) + ".ckpt";
+    const FullChipMcResult r = FullChipMonteCarlo(pl, mini_chars_analytic(), opts).run();
+    EXPECT_EQ(r.mean_na, g.mean) << "threads " << g.threads;
+    EXPECT_EQ(r.sigma_na, g.sigma) << "threads " << g.threads;
+    EXPECT_EQ(r.p99_na, g.p99) << "threads " << g.threads;
+    std::remove(opts.checkpoint_path.c_str());
+  }
 }
 
 TEST(FullChipMc, PercentilesAreOrderedAndBracketMean) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <complex>
+#include <cstdint>
 
 #include "math/stats.h"
 #include "util/require.h"
@@ -107,6 +109,105 @@ TEST(GridFieldSampler, SampleIntoMatchesSampleStream) {
     for (std::size_t i = 0; i < ref.size(); ++i) EXPECT_EQ(out[i], ref[i]) << "t=" << t;
   }
   EXPECT_EQ(ra(), rb());  // streams stayed in lockstep
+}
+
+// Bit-exact draws recorded before the fused per-column draw replaced the
+// whole-grid fill and two-pass std::complex FFT (which scaled by 1/N after
+// each pass): the rework keeps every floating-point operation on the kept
+// outputs, so MC samples and checkpoints do not move. Three draws per
+// sampler (an FFT draw, its cached second field, the next FFT draw), each
+// pinned at five sites and by its sum and sum of squares in index order,
+// then the next engine word.
+struct GoldenDraw {
+  double sum, sq;
+  double at[5];
+};
+
+void expect_golden_draws(GridFieldSampler sampler, std::uint64_t seed,
+                         const std::size_t (&sites)[5], const GoldenDraw (&want)[3],
+                         std::uint64_t next_word) {
+  math::Rng rng(seed);
+  FieldWorkspace ws;
+  std::vector<double> out;
+  for (int t = 0; t < 3; ++t) {
+    sampler.sample_into(rng, ws, out);
+    double sum = 0.0, sq = 0.0;
+    for (const double v : out) {
+      sum += v;
+      sq += v * v;
+    }
+    EXPECT_EQ(sum, want[t].sum) << "draw " << t;
+    EXPECT_EQ(sq, want[t].sq) << "draw " << t;
+    for (std::size_t k = 0; k < 5; ++k)
+      EXPECT_EQ(out[sites[k]], want[t].at[k]) << "draw " << t << " site " << sites[k];
+  }
+  EXPECT_EQ(rng(), next_word);
+}
+
+TEST(GridFieldSampler, DrawMatchesParentGolden) {
+  // The bench grid: 48x48 sites at 1.5 um, exponential lc = 0.1 mm, which
+  // pads to a 256x256 embedding.
+  const ExponentialCorrelation exp_rho(1.0e5);
+  const GridFieldSampler bench(48, 48, 1500.0, 1500.0, exp_rho, 1.25);
+  ASSERT_EQ(bench.padded_rows(), 256u);
+  ASSERT_EQ(bench.padded_cols(), 256u);
+  expect_golden_draws(
+      bench, 4242, {0, 1, 47, 1176, 2303},
+      {{-0x1.413a7c4b11ffbp+5,
+        0x1.03bbbe7269149p+10,
+        {0x1.7b616bc1fdf13p-1, 0x1.8fe3eaba79a5cp-1, 0x1.9e80774043482p-1,
+         -0x1.94141b5643b92p-2, 0x1.629ca44c2c2b1p-2}},
+       {-0x1.f5fc7a97d11cep+9,
+        0x1.fcb8120ed8e9ap+10,
+        {0x1.5a30b1922a1b8p-4, 0x1.6b9d3e8fd3d5bp-2, -0x1.12c7e7c2d7663p-3,
+         -0x1.635955a6b1626p+0, -0x1.4c8880a01ea58p-1}},
+       {-0x1.c3b08c49d863p+11,
+        0x1.b3b7fb149cd6p+12,
+        {-0x1.1c54ccdd0ff9ap+1, -0x1.1bb48861880d5p+1, 0x1.28dd1f03f0fb1p-1,
+         -0x1.1ec41598819bp+0, -0x1.5c247870b49p+1}}},
+      8088735770663940279ull);
+
+  // Non-square and anisotropic: a 12x30 grid whose embedding is 32x64, so
+  // sqrt(prow * pcol) is not a power of two.
+  const GaussianCorrelation gauss_rho(400.0);
+  CorrelationAnisotropy aniso;
+  aniso.scale_x = 2.0;
+  aniso.scale_y = 0.5;
+  const GridFieldSampler skewed(12, 30, 100.0, 150.0, gauss_rho, 1.7, aniso);
+  ASSERT_EQ(skewed.padded_rows(), 32u);
+  ASSERT_EQ(skewed.padded_cols(), 64u);
+  expect_golden_draws(
+      skewed, 77, {0, 1, 29, 185, 359},
+      {{-0x1.51071d477617cp+7,
+        0x1.d65d45816574ap+9,
+        {-0x1.7c446e4afd3f6p+0, -0x1.98f472d2368e5p+0, -0x1.81572f1d9d165p+1,
+         0x1.1125b1c3f6719p-4, 0x1.47cc5888dc795p+0}},
+       {0x1.08331d05ccb0fp+6,
+        0x1.f699aa76213a9p+9,
+        {-0x1.8ebffaf474119p-2, -0x1.f31022c6caef9p-2, 0x1.bcb23e85a3964p+0,
+         0x1.b2e2f2b306e6ep+1, 0x1.fdbf801a91f05p-1}},
+       {-0x1.c2ac0179227bcp+5,
+        0x1.23334c72a93d1p+10,
+        {-0x1.2fe59266d81c2p+0, -0x1.5ca7147e4c4afp+0, -0x1.613a2610f4afdp+0,
+         -0x1.732f651a1ce92p-1, -0x1.ae2d16ce355dcp-1}}},
+      9712174601488965316ull);
+}
+
+TEST(GridFieldSampler, WorkspaceAndFootprintBytesMatchTheBuffers) {
+  // The byte law charges what the fused draw holds: the column-major scratch
+  // over the padded grid, the row-pass buffer over the kept rows, and per
+  // sampler the eigenvalue roots, the spare field and two 1-D plans.
+  const ExponentialCorrelation rho(1.0e5);
+  GridFieldSampler sampler(48, 48, 1500.0, 1500.0, rho, 1.25);
+  math::Rng rng(1);
+  FieldWorkspace ws;
+  std::vector<double> out;
+  sampler.sample_into(rng, ws, out);
+  const std::size_t c16 = sizeof(std::complex<double>);
+  EXPECT_EQ(ws.scratch.size() * c16 + ws.freq.size() * c16, sampler.workspace_bytes());
+  EXPECT_EQ(sampler.workspace_bytes(), (256u * 256u + 48u * 256u) * c16);
+  const std::size_t plan = 256 * sizeof(std::uint32_t) + 255 * c16;
+  EXPECT_EQ(sampler.footprint_bytes(), 256u * 256u * 8u + 48u * 48u * 8u + 2 * plan);
 }
 
 TEST(DenseFieldSampler, SampleIntoMatchesSampleStream) {
