@@ -36,9 +36,12 @@ void CostModel::Law::calibrate(std::size_t sites, double measured) {
 }
 
 CostModel CostModel::defaults() {
-  // Time: commodity-core magnitudes. Not all of them are pessimistic — the
-  // adaptive rect quadrature measures ~97 ms from 256x256 sites up, twice
-  // the integral_rect constant — so calibrate before trusting a tight budget.
+  // Time: commodity-core magnitudes. The integral rungs are one radial
+  // quadrature each: bench_scaling's BM_IntegralRect/BM_IntegralPolar read
+  // 0.05-0.15 ms per call from 8x8 to 2048x2048 sites on a 4-CPU 2 GHz host,
+  // and other kernels (spherical, Gaussian, 3:1 anisotropic, 0.5 mm
+  // exponential) stay under 0.2 ms, so their 1 ms constant is pessimistic by
+  // 5x or more.
   // Bytes: rounded up hard. The FFT rung's linear coefficient must absorb the
   // worst-case power-of-two padding (up to ~16x the site count in padded
   // cells) times 16-byte complex cells times a few live buffers; MC likewise
@@ -48,8 +51,8 @@ CostModel CostModel::defaults() {
   m.rungs_["exact_direct"] = {Law{B::kQuadratic, 5e-5}, Law{B::kLinear, 256.0}};
   m.rungs_["exact_fft"] = {Law{B::kNLogN, 5e-3}, Law{B::kLinear, 8192.0}};
   m.rungs_["linear"] = {Law{B::kLinear, 2e-3}, Law{B::kConstant, 64 << 10}};
-  m.rungs_["integral_rect"] = {Law{B::kConstant, 50.0}, Law{B::kConstant, 32 << 10}};
-  m.rungs_["integral_polar"] = {Law{B::kConstant, 5.0}, Law{B::kConstant, 32 << 10}};
+  m.rungs_["integral_rect"] = {Law{B::kConstant, 1.0}, Law{B::kConstant, 32 << 10}};
+  m.rungs_["integral_polar"] = {Law{B::kConstant, 1.0}, Law{B::kConstant, 32 << 10}};
   m.rungs_["mc"] = {std::nullopt, Law{B::kLinear, 4096.0}};
   return m;
 }

@@ -43,8 +43,7 @@ namespace rgleak::core {
 class CostModel {
  public:
   /// Built-in coefficients: commodity-core time magnitudes and hard-rounded
-  /// byte counts. Not every time law is pessimistic (see integral_rect in
-  /// defaults()); calibration pins them to the host.
+  /// byte counts; calibration pins them to the host.
   static CostModel defaults();
 
   /// defaults() calibrated by a bench JSON file: a "records" array of flat

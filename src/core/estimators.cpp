@@ -65,21 +65,61 @@ LeakageEstimate estimate_linear(const RandomGate& rg, const placement::Floorplan
   return checked_estimate("estimate_linear", "linear", n * rg.mean_na(), var, fp.num_sites(), fp);
 }
 
+double rect_angular_weight(double w, double h, double r) {
+  // G(r) = int (W - r cos t)(H - r sin t) dt over the t in [0, pi/2] whose
+  // offset (r cos t, r sin t) lies inside the W x H rectangle.
+  if (r <= std::min(w, h)) return 0.5 * r * r - (w + h) * r + 0.5 * M_PI * w * h;  // eq. (24)
+  const double t_lo = std::acos(std::min(1.0, w / r));
+  const double t_hi = std::asin(std::min(1.0, h / r));
+  if (t_hi <= t_lo) return 0.0;
+  const auto antiderivative = [&](double t) {
+    const double s = std::sin(t);
+    return w * h * t + w * r * std::cos(t) - h * r * s + 0.5 * r * r * s * s;
+  };
+  return antiderivative(t_hi) - antiderivative(t_lo);
+}
+
+namespace {
+
+// Eq. (20) by its exact radial reduction. Offsets are rescaled per axis to
+// the frame where the kernel is isotropic (W' = W/s_x, H' = H/s_y; the pair
+// density and the area rescale together, so 4 n^2/A^2 keeps its form in
+// primed units). There, polar coordinates give
+//   int_0^W' int_0^H' (W'-x)(H'-y) C(|(x, y)|) dy dx = int_0^diag' C(r) r G(r) dr,
+// and eq. (26)'s split integrates only C - c_floor, up to D_max', adding the
+// D2D floor's n^2 c_floor in closed form. G changes its closed form at
+// min(W', H') and max(W', H'), so the radial integral is split there.
+double integral_variance(const RandomGate& rg, const placement::Floorplan& fp,
+                         const math::QuadratureOptions& opts) {
+  const process::CorrelationAnisotropy& axes = rg.process().anisotropy();
+  const double w = fp.width_nm() / axes.scale_x, h = fp.height_nm() / axes.scale_y;
+  const double n = static_cast<double>(fp.num_sites());
+  const double c_floor = rg.covariance_floor_na2();
+  const double end = std::min(rg.process().wid_correlation().range_nm(), std::hypot(w, h));
+  const auto integrand = [&](double r) {
+    return (rg.covariance_at_offset(r * axes.scale_x, 0.0) - c_floor) * r *
+           rect_angular_weight(w, h, r);
+  };
+  double integral = 0.0, from = 0.0;
+  for (double to : {std::min(w, h), std::max(w, h), end}) {
+    to = std::min(to, end);
+    if (to <= from) continue;
+    integral += math::integrate_adaptive(integrand, from, to, opts);
+    from = to;
+  }
+  return 4.0 * n * n / (w * w * h * h) * integral + n * n * c_floor;
+}
+
+}  // namespace
+
 LeakageEstimate estimate_integral_rect(const RandomGate& rg, const placement::Floorplan& fp,
                                        const math::QuadratureOptions& opts) {
   static util::metrics::Histogram& rung_ms =
       util::metrics::Registry::instance().histogram("estimator.integral_rect_ms");
   const util::metrics::ScopedTimerMs timer(rung_ms);
-  const double w = fp.width_nm(), h = fp.height_nm();
-  const double n = static_cast<double>(fp.num_sites());
-  const double area = fp.area_nm2();
-  // Eq. (20): 4 n^2/A^2 * int_0^W int_0^H (W-x)(H-y) C(sqrt(x^2+y^2)) dy dx,
-  // with C(r) = sigma_XI^2 rho_XI(r) = F(rho_L(r)).
-  const double integral = math::integrate_2d_adaptive(
-      [&](double x, double y) { return (w - x) * (h - y) * rg.covariance_at_offset(x, y); },
-      0.0, w, 0.0, h, opts);
-  return checked_estimate("estimate_integral_rect", "integral_rect", n * rg.mean_na(),
-                          4.0 * n * n / (area * area) * integral, fp.num_sites(), fp);
+  return checked_estimate("estimate_integral_rect", "integral_rect",
+                          static_cast<double>(fp.num_sites()) * rg.mean_na(),
+                          integral_variance(rg, fp, opts), fp.num_sites(), fp);
 }
 
 LeakageEstimate estimate_integral_polar(const RandomGate& rg, const placement::Floorplan& fp,
@@ -87,30 +127,19 @@ LeakageEstimate estimate_integral_polar(const RandomGate& rg, const placement::F
   static util::metrics::Histogram& rung_ms =
       util::metrics::Registry::instance().histogram("estimator.integral_polar_ms");
   const util::metrics::ScopedTimerMs timer(rung_ms);
-  const double w = fp.width_nm(), h = fp.height_nm();
-  const double d_max = rg.process().wid_correlation_range_nm();
-  if (d_max >= std::min(w, h) || !rg.process().is_isotropic()) {
+  if (rg.process().wid_correlation_range_nm() >= std::min(fp.width_nm(), fp.height_nm()) ||
+      !rg.process().is_isotropic()) {
     // Validity conditions of section 3.2.2 not met (the polar reduction
-    // additionally needs an isotropic kernel); use the 2-D form.
+    // additionally needs an isotropic kernel); use the rectangular form.
     if (used_polar != nullptr) *used_polar = false;
     return estimate_integral_rect(rg, fp, opts);
   }
   if (used_polar != nullptr) *used_polar = true;
-
-  const double n = static_cast<double>(fp.num_sites());
-  const double area = fp.area_nm2();
-  const double c_floor = rg.covariance_floor_na2();
-
-  // g(r) of eq. (24): the analytic angular integral.
-  const auto g = [&](double r) { return 0.5 * r * r - (w + h) * r + 0.5 * M_PI * w * h; };
-  // Eq. (26): split C(r) into a constant D2D part and a compact-support part.
-  const double integral = math::integrate_adaptive(
-      [&](double r) { return (rg.covariance_at_distance(r) - c_floor) * r * g(r); }, 0.0, d_max,
-      opts);
-
-  const double var = 4.0 * n * n / (area * area) * integral + n * n * c_floor;
-  return checked_estimate("estimate_integral_polar", "integral_polar", n * rg.mean_na(), var,
-                          fp.num_sites(), fp);
+  // Inside its validity region eq. (25) is the radial reduction with G = g of
+  // eq. (24) on all of [0, D_max], so both rungs share one evaluation.
+  return checked_estimate("estimate_integral_polar", "integral_polar",
+                          static_cast<double>(fp.num_sites()) * rg.mean_na(),
+                          integral_variance(rg, fp, opts), fp.num_sites(), fp);
 }
 
 ExactEstimator::ExactEstimator(const charlib::CharacterizedLibrary& chars,

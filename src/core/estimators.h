@@ -3,12 +3,15 @@
 //
 //  * estimate_linear      — eq. (17): exact distance-histogram transformation
 //                           of the pairwise sum; O(n) in the site count.
-//  * estimate_integral_rect — eq. (20): 2-D rectangular-coordinate integral;
-//                           O(1) in the site count.
-//  * estimate_integral_polar — eqs (25)/(26): 1-D polar integral with the D2D
-//                           constant split; O(1); requires the WID correlation
-//                           range to fit inside min(W, H), else falls back to
-//                           the 2-D form.
+//  * estimate_integral_rect — eq. (20): the rectangular-coordinate integral,
+//                           evaluated by its exact reduction to one radial
+//                           integral (with eq. (26)'s D2D split); O(1) in the
+//                           site count, any anisotropy.
+//  * estimate_integral_polar — eqs (25)/(26): the 1-D polar integral with the
+//                           D2D constant split; O(1); requires an isotropic
+//                           kernel whose WID range fits inside min(W, H), else
+//                           falls back to the rectangular form. Where valid it
+//                           is the same radial integral as the rect form.
 //  * ExactEstimator       — the "true leakage" of a specific placed design:
 //                           the full pairwise covariance sum. This is the
 //                           baseline the paper compares against (Table 1,
@@ -42,14 +45,25 @@ namespace rgleak::core {
 LeakageEstimate estimate_linear(const RandomGate& rg, const placement::Floorplan& fp,
                                 const util::RunControl* run = nullptr);
 
-/// Eq. (20): constant-time 2-D integral approximation (rectangular
-/// coordinates). `opts` controls the quadrature tolerances.
+/// Eq. (20): constant-time integral approximation over the W x H die. The
+/// 2-D integral is computed exactly as a 1-D radial one,
+///   int_0^min(D_max, diag) (C(r) - c_floor) r G(r) dr  +  D2D floor,
+/// in the frame where the kernel is isotropic (W' = W/s_x, H' = H/s_y), with
+/// G from rect_angular_weight. `opts` sets the adaptive Simpson tolerances.
 LeakageEstimate estimate_integral_rect(const RandomGate& rg, const placement::Floorplan& fp,
                                        const math::QuadratureOptions& opts = {});
 
+/// G(r) of the radial reduction: the integral of (W - r cos t)(H - r sin t)
+/// over the angles t in [0, pi/2] with (r cos t, r sin t) inside the W x H
+/// rectangle, i.e. t in [arccos(min(1, W/r)), arcsin(min(1, H/r))]. It is the
+/// within-rectangle distance density up to normalization (Ghosh 1951), equals
+/// eq. (24)'s g(r) for r <= min(W, H), and vanishes at the diagonal.
+double rect_angular_weight(double w, double h, double r);
+
 /// Eqs (25)-(26): constant-time 1-D polar integral with the D2D split. Falls
 /// back to the rectangular form when D_max >= min(W, H) (the paper's validity
-/// condition); `used_polar`, when given, reports which path ran.
+/// condition) or the kernel is anisotropic; `used_polar`, when given, reports
+/// which path ran. Where it is valid, it returns the rect form's value.
 LeakageEstimate estimate_integral_polar(const RandomGate& rg, const placement::Floorplan& fp,
                                         const math::QuadratureOptions& opts = {},
                                         bool* used_polar = nullptr);

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "util/metrics.h"
 #include "util/require.h"
 
 namespace rgleak::core {
@@ -10,6 +11,11 @@ RandomGate::RandomGate(const charlib::CharacterizedLibrary& chars,
                        const netlist::UsageHistogram& usage, double signal_probability,
                        CorrelationMode mode)
     : process_(chars.process()), mode_(mode) {
+  // Same registry as the estimator rungs' histograms, so an estimate job's
+  // metrics split into its RG build and its rung.
+  static util::metrics::Histogram& build_ms =
+      util::metrics::Registry::instance().histogram("estimator.random_gate_ms");
+  const util::metrics::ScopedTimerMs timer(build_ms);
   usage.validate();
   std::vector<charlib::RgComponent> components =
       charlib::make_rg_components(chars, usage.alphas, signal_probability);

@@ -106,26 +106,30 @@ double expectation_exp_quadratic_2d(double b1, double c1, double b2, double c2, 
   RGLEAK_REQUIRE(rho >= -1.0 && rho <= 1.0, "correlation must be in [-1, 1]");
   if (var == 0.0) return std::exp((b1 + b2) * mu + (c1 + c2) * mu * mu);
 
-  constexpr double kRhoDegenerate = 1.0 - 1e-9;
-  if (rho >= kRhoDegenerate) {
-    // z1 == z2: collapses to a single Gaussian.
-    return expectation_exp_quadratic_1d(b1 + b2, c1 + c2, mu, var);
-  }
-  if (rho <= -kRhoDegenerate) {
-    // z2 = 2*mu - z1 exactly: substitute and reduce to 1-D.
-    const double lin = b1 - b2 - 4.0 * c2 * mu;
-    const double quad = c1 + c2;
-    const double constant = 2.0 * b2 * mu + 4.0 * c2 * mu * mu;
-    return std::exp(constant) * expectation_exp_quadratic_1d(lin, quad, mu, var);
-  }
-
-  Matrix sigma(2, 2);
-  sigma(0, 0) = sigma(1, 1) = var;
-  sigma(0, 1) = sigma(1, 0) = rho * var;
-  Matrix a(2, 2);
-  a(0, 0) = c1;
-  a(1, 1) = c2;
-  return expectation_exp_quadratic({b1, b2}, a, {mu, mu}, sigma);
+  // The n-D formula with Sigma = var [[1, rho], [rho, 1]] and A = diag(c1, c2),
+  // written out for M = I - 2 Sigma A:
+  //   det M       = (1 - 2 var c1)(1 - 2 var c2) - 4 rho^2 var^2 c1 c2,
+  //   M^-1 Sigma  = var/det M * [[1 - 2 var c2 (1 - rho^2), rho],
+  //                              [rho, 1 - 2 var c1 (1 - rho^2)]].
+  // Nothing here inverts Sigma, so rho = +-1 needs no special case.
+  const double d1 = 1.0 - 2.0 * var * c1;
+  const double d2 = 1.0 - 2.0 * var * c2;
+  const double det = d1 * d2 - 4.0 * rho * rho * var * var * c1 * c2;
+  // M is similar to a symmetric matrix, so it is positive definite exactly
+  // when both its determinant and its trace are positive.
+  if (!(det > 0.0) || !(d1 + d2 > 0.0))
+    throw NumericalError(
+        "expectation_exp_quadratic_2d: I - 2*Sigma*A not positive definite; expectation "
+        "diverges");
+  const double v1 = b1 + 2.0 * c1 * mu;
+  const double v2 = b2 + 2.0 * c2 * mu;
+  const double one_minus_rho2 = 1.0 - rho * rho;
+  const double quad = var / det *
+                      (v1 * v1 * (1.0 - 2.0 * var * c2 * one_minus_rho2) + 2.0 * rho * v1 * v2 +
+                       v2 * v2 * (1.0 - 2.0 * var * c1 * one_minus_rho2));
+  const double log_e =
+      (b1 + b2) * mu + (c1 + c2) * mu * mu + 0.5 * quad - 0.5 * std::log(det);
+  return guarded_exp(log_e, "expectation_exp_quadratic_2d");
 }
 
 }  // namespace rgleak::math

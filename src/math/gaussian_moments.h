@@ -32,6 +32,9 @@ double expectation_exp_quadratic_1d(double b, double c, double mu, double var);
 /// Specialized 2-D case used by the pairwise-leakage correlation map:
 /// E[exp(b1 z1 + c1 z1^2 + b2 z2 + c2 z2^2)] where (z1, z2) are jointly normal
 /// with common mean `mu`, common variance `var`, and correlation `rho`.
+/// Evaluates the n-D formula in closed form (no matrix temporaries), exact
+/// through rho = +-1. Throws NumericalError when I - 2*Sigma*A is not
+/// positive definite.
 double expectation_exp_quadratic_2d(double b1, double c1, double b2, double c2, double mu,
                                     double var, double rho);
 

@@ -134,19 +134,4 @@ double integrate_2d(const std::function<double(double, double)>& f, double ax, d
   return total;
 }
 
-double integrate_2d_adaptive(const std::function<double(double, double)>& f, double ax, double bx,
-                             double ay, double by, const QuadratureOptions& opts,
-                             std::size_t order, std::size_t max_level) {
-  std::size_t panels = 2;
-  double prev = integrate_2d(f, ax, bx, ay, by, order, panels, panels);
-  for (std::size_t level = 0; level < max_level; ++level) {
-    panels *= 2;
-    const double cur = integrate_2d(f, ax, bx, ay, by, order, panels, panels);
-    const double tol = std::max(opts.abs_tol, opts.rel_tol * std::abs(cur));
-    if (std::abs(cur - prev) <= tol) return cur;
-    prev = cur;
-  }
-  return prev;
-}
-
 }  // namespace rgleak::math

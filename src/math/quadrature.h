@@ -1,7 +1,8 @@
 #pragma once
 // Numerical integration used by the constant-time leakage estimators:
-//  - adaptive Simpson in 1-D (polar form, eq. 25/26 of the paper),
-//  - Gauss–Legendre panels in 2-D (rectangular form, eq. 20).
+//  - adaptive Simpson in 1-D (the radial integral behind eqs. 20 and 25/26),
+//  - Gauss–Legendre rules in 1-D and on tensor panels in 2-D (fixed-cost
+//    references for the radial reduction).
 
 #include <cstddef>
 #include <functional>
@@ -16,8 +17,12 @@ struct QuadratureOptions {
   int max_depth = 40;  ///< maximum recursive bisection depth
 };
 
-/// Adaptive Simpson integration of f over [a, b]. Throws NumericalError when
-/// the requested tolerance cannot be met within max_depth.
+/// Adaptive Simpson integration of f over [a, b], seeded with 16 equal
+/// panels. A panel stops bisecting when its two halves agree to within its
+/// share of max(abs_tol, rel_tol * |coarse 16-panel estimate|), or when it
+/// reaches max_depth; either way it returns the Richardson-corrected sum.
+/// Reaching max_depth is not an error: the result is then accurate only to
+/// what that depth resolves, and no exception is thrown.
 double integrate_adaptive(const std::function<double(double)>& f, double a, double b,
                           const QuadratureOptions& opts = {});
 
@@ -39,13 +44,5 @@ double integrate_gauss(const std::function<double(double)>& f, double a, double 
 double integrate_2d(const std::function<double(double, double)>& f, double ax, double bx,
                     double ay, double by, std::size_t order = 16, std::size_t panels_x = 8,
                     std::size_t panels_y = 8);
-
-/// 2-D integration with automatic panel refinement: doubles the panel count
-/// until two successive estimates agree to the given tolerances (or max_level
-/// refinements have been performed).
-double integrate_2d_adaptive(const std::function<double(double, double)>& f, double ax,
-                             double bx, double ay, double by,
-                             const QuadratureOptions& opts = {}, std::size_t order = 12,
-                             std::size_t max_level = 6);
 
 }  // namespace rgleak::math

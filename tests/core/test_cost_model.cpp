@@ -1,6 +1,6 @@
 // The per-rung cost model: pinned time and byte predictions, from the
-// built-in defaults and after calibration, and the calibration reader's
-// refusals. The pins hold every prediction fixed, so a change to a default
+// built-in defaults and after calibration, the ladder's cost order (predicted
+// and measured), and the calibration reader's refusals. The pins hold every prediction fixed, so a change to a default
 // coefficient, a basis or the calibration rule shows up here. The
 // calibration fixtures copy records from the checked-in BENCH files, so
 // re-recording those files never moves the pins.
@@ -9,11 +9,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "../test_util.h"
+#include "core/estimators.h"
+#include "netlist/random_circuit.h"
 #include "util/error.h"
 
 namespace rgleak::core {
@@ -51,11 +56,70 @@ TEST(CostModel, DefaultPredictionsArePinned) {
                   {"linear",
                    {0.51200000000000001, 8.1920000000000002, 32.768000000000001, 131.072},
                    {65536ull, 65536ull, 65536ull, 65536ull}},
-                  {"integral_rect", {50, 50, 50, 50}, {32768ull, 32768ull, 32768ull, 32768ull}},
-                  {"integral_polar", {5, 5, 5, 5}, {32768ull, 32768ull, 32768ull, 32768ull}},
+                  {"integral_rect", {1, 1, 1, 1}, {32768ull, 32768ull, 32768ull, 32768ull}},
+                  {"integral_polar", {1, 1, 1, 1}, {32768ull, 32768ull, 32768ull, 32768ull}},
                   {"mc", {kInf, kInf, kInf, kInf},
                    {1048576ull, 16777216ull, 67108864ull, 268435456ull}},
               });
+}
+
+TEST(CostModel, DefaultTimeLawsDescendTheLadder) {
+  // Stepping down from exact_fft to linear to an integral rung never predicts
+  // a slower method, so a budgeted estimate that degrades saves time.
+  const CostModel m = CostModel::defaults();
+  for (const std::size_t sites : {std::size_t{1} << 10, std::size_t{1} << 14,
+                                  std::size_t{1} << 16, std::size_t{1} << 20}) {
+    const double linear = m.predict_ms("linear", sites);
+    EXPECT_GE(m.predict_ms("exact_fft", sites), linear) << sites;
+    EXPECT_GE(linear, m.predict_ms("integral_rect", sites)) << sites;
+    EXPECT_GE(linear, m.predict_ms("integral_polar", sites)) << sites;
+  }
+}
+
+// Fastest of three runs of `f`, in ms.
+template <class F>
+double min_of_3_ms(F&& f) {
+  double best = std::numeric_limits<double>::infinity();
+  for (int i = 0; i < 3; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    f();
+    best = std::min(best, std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count());
+  }
+  return best;
+}
+
+TEST(CostModel, MeasuredRungsDescendTheLadderAt256x256Sites) {
+  // Coarse and host-independent: ratios of the same process's timings, each
+  // the fastest of three runs, with a 4x margin per step. The exact rung runs
+  // on one thread so that its cost does not depend on the host's core count.
+  using rgleak::testing::mini_chars_analytic;
+  using rgleak::testing::mini_library;
+  netlist::UsageHistogram usage;
+  usage.alphas.assign(mini_library().size(), 0.0);
+  usage.alphas[mini_library().index_of("INV_X1")] = 0.4;
+  usage.alphas[mini_library().index_of("NAND2_X1")] = 0.4;
+  usage.alphas[mini_library().index_of("NOR2_X1")] = 0.2;
+  placement::Floorplan fp;
+  fp.rows = fp.cols = 256;
+  fp.site_w_nm = fp.site_h_nm = 1500.0;
+  math::Rng rng(1);
+  const netlist::Netlist nl =
+      netlist::generate_random_circuit(mini_library(), usage, fp.num_sites(), rng);
+  const placement::Placement pl(&nl, fp);
+  const ExactEstimator exact(mini_chars_analytic(), 0.5, CorrelationMode::kAnalytic);
+  const RandomGate rg(mini_chars_analytic(), usage, 0.5, CorrelationMode::kAnalytic);
+
+  const double fft =
+      min_of_3_ms([&] { (void)exact.estimate(pl, {ExactMethod::kFft, 1}); });
+  const double linear = min_of_3_ms([&] { (void)estimate_linear(rg, fp); });
+  const double rect = min_of_3_ms([&] { (void)estimate_integral_rect(rg, fp); });
+  const double polar = min_of_3_ms([&] { (void)estimate_integral_polar(rg, fp); });
+  EXPECT_LE(linear, fft / 4.0) << "linear " << linear << " ms, exact_fft " << fft << " ms";
+  EXPECT_LE(rect, linear / 4.0) << "integral_rect " << rect << " ms, linear " << linear << " ms";
+  EXPECT_LE(polar, linear / 4.0) << "integral_polar " << polar << " ms, linear " << linear
+                                 << " ms";
 }
 
 TEST(CostModel, BenchCalibratedPredictionsArePinned) {
@@ -72,8 +136,8 @@ TEST(CostModel, BenchCalibratedPredictionsArePinned) {
                   {"linear",
                    {0.51200000000000001, 8.1920000000000002, 32.768000000000001, 131.072},
                    {65536ull, 65536ull, 65536ull, 65536ull}},
-                  {"integral_rect", {50, 50, 50, 50}, {32768ull, 32768ull, 32768ull, 32768ull}},
-                  {"integral_polar", {5, 5, 5, 5}, {32768ull, 32768ull, 32768ull, 32768ull}},
+                  {"integral_rect", {1, 1, 1, 1}, {32768ull, 32768ull, 32768ull, 32768ull}},
+                  {"integral_polar", {1, 1, 1, 1}, {32768ull, 32768ull, 32768ull, 32768ull}},
                   {"mc", {kInf, kInf, kInf, kInf},
                    {2445070ull, 39121123ull, 156484494ull, 625937976ull}},
               });

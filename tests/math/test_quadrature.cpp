@@ -95,20 +95,5 @@ TEST(Integrate2D, RejectsBadRectangleOrPanels) {
                ContractViolation);
 }
 
-TEST(Integrate2DAdaptive, RefinesToTolerance) {
-  // Exponential correlation-like kernel: int over [0,W]x[0,H] of
-  // (W-x)(H-y) exp(-r/l).
-  const double w = 10.0, h = 7.0, l = 2.0;
-  const auto f = [&](double x, double y) {
-    return (w - x) * (h - y) * std::exp(-std::hypot(x, y) / l);
-  };
-  const double coarse = integrate_2d(f, 0, w, 0, h, 8, 2, 2);
-  const double fine = integrate_2d(f, 0, w, 0, h, 24, 32, 32);
-  const double adaptive = integrate_2d_adaptive(f, 0, w, 0, h, {1e-10, 1e-9});
-  EXPECT_NEAR(adaptive, fine, 1e-6 * std::abs(fine));
-  // Sanity: the coarse estimate is in the same ballpark.
-  EXPECT_NEAR(coarse, fine, 0.05 * std::abs(fine));
-}
-
 }  // namespace
 }  // namespace rgleak::math

@@ -163,6 +163,18 @@ TEST_F(CliParams, ExactZeroSkipsTheExactAnalysis) {
   std::remove(out.c_str());
 }
 
+TEST_F(CliParams, MetricsJsonSplitsAnEstimateIntoItsRgBuildAndItsRung) {
+  const std::string out = temp_path("rgleak_cli_estimate_metrics.json");
+  std::remove(out.c_str());
+  ASSERT_EQ(run_cli(estimate() + " --method rect --metrics-json " + out), 0);
+  std::ifstream in(out);
+  std::string json;
+  std::getline(in, json);
+  EXPECT_NE(json.find("\"estimator.random_gate_ms\":{\"count\":1,"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"estimator.integral_rect_ms\":{\"count\":1,"), std::string::npos) << json;
+  std::remove(out.c_str());
+}
+
 TEST_F(CliParams, SharedParameterSpellingsReachEveryCommand) {
   // Counts accept the float spelling the manifest always accepted.
   EXPECT_EQ(run_cli(mc() + " --trials 1e1"), 0);
