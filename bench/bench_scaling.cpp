@@ -1,13 +1,15 @@
 // Complexity claims of section 3: runtime scaling of the estimators —
 // O(n^2) exact pairwise baseline (serial and thread-pool tiled), the
-// O(T^2 n log n) FFT offset-histogram exact path, O(n) distance-histogram
-// (eq. 17), and O(1) integration (eqs 20/25) — using google-benchmark.
+// O(K n log n) FFT exact path (K Hermite series orders), O(n)
+// distance-histogram (eq. 17), and O(1) integration (eqs 20/25) — using
+// google-benchmark.
 //
 // `bench_scaling --exact-json[=PATH]` skips google-benchmark and instead
-// records the exact-estimator perf trajectory (sites, method, wall_ms,
-// speedup vs the serial direct baseline, peak RSS, and the per-method
-// MemoryBudget high-water mark used by `rgleak batch --mem-model`) to
-// BENCH_exact_estimator.json.
+// records the exact-estimator perf trajectory to BENCH_exact_estimator.json:
+// the host's CPU count, then per (sites, method) the best wall time of N
+// runs with the median and worst beside it, the speedup vs the serial direct
+// baseline, peak RSS, and the per-method MemoryBudget high-water mark used by
+// `rgleak batch --mem-model`.
 
 #include <benchmark/benchmark.h>
 
@@ -18,6 +20,8 @@
 #include <cstdio>
 #include <functional>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "bench_util.h"
 #include "core/estimators.h"
@@ -130,16 +134,22 @@ BENCHMARK(BM_Characterization)->Unit(benchmark::kMillisecond)->Iterations(1);
 
 // --- the exact-estimator perf record ---------------------------------------
 
-double wall_ms(const std::function<core::LeakageEstimate()>& run, int reps,
+// Best, median and worst wall time of `reps` runs, ms.
+struct Timing {
+  double best, median, worst;
+};
+
+Timing wall_ms(const std::function<core::LeakageEstimate()>& run, int reps,
                core::LeakageEstimate* out) {
-  double best = 1e300;
+  std::vector<double> ms;
   for (int r = 0; r < reps; ++r) {
     const auto t0 = std::chrono::steady_clock::now();
     *out = run();
     const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best, std::chrono::duration<double, std::milli>(t1 - t0).count());
+    ms.push_back(std::chrono::duration<double, std::milli>(t1 - t0).count());
   }
-  return best;
+  std::sort(ms.begin(), ms.end());
+  return {ms.front(), ms[ms.size() / 2], ms.back()};
 }
 
 int exact_bench_json(const std::string& path) {
@@ -150,13 +160,14 @@ int exact_bench_json(const std::string& path) {
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
     return 1;
   }
-  std::fprintf(f, "{\n  \"bench\": \"exact_estimator\",\n  \"records\": [\n");
+  std::fprintf(f, "{\n  \"bench\": \"exact_estimator\",\n  \"cpus\": %u,\n  \"records\": [\n",
+               std::thread::hardware_concurrency());
   bool first = true;
   for (const std::size_t side : {16, 32, 64, 128}) {
     const netlist::Netlist nl = bench_netlist(side);
     const placement::Placement pl(&nl, square(side));
     const std::size_t n = side * side;
-    const int reps = n <= 4096 ? 3 : 1;
+    const int reps = n <= 4096 ? 7 : 3;
 
     // reset_peak between methods: the exact estimators release their arena
     // charges after each run, so the per-method high-water mark isolates
@@ -164,22 +175,22 @@ int exact_bench_json(const std::string& path) {
     auto& budget = util::MemoryBudget::process();
     core::LeakageEstimate serial, parallel, fft;
     budget.reset_peak();
-    const double t_serial = wall_ms(
+    const Timing t_serial = wall_ms(
         [&] { return exact.estimate(pl, {core::ExactMethod::kDirect, 1}); }, reps, &serial);
     const std::uint64_t b_serial = budget.peak();
     budget.reset_peak();
-    const double t_parallel = wall_ms(
+    const Timing t_parallel = wall_ms(
         [&] { return exact.estimate(pl, {core::ExactMethod::kDirect, 0}); }, reps, &parallel);
     const std::uint64_t b_parallel = budget.peak();
     budget.reset_peak();
-    const double t_fft = wall_ms(
+    const Timing t_fft = wall_ms(
         [&] { return exact.estimate(pl, {core::ExactMethod::kFft, 0}); }, reps, &fft);
     const std::uint64_t b_fft = budget.peak();
 
     const double rel_err = std::abs(fft.sigma_na - serial.sigma_na) / serial.sigma_na;
     const struct {
       const char* method;
-      double ms;
+      Timing ms;
       double sigma_rel_err;
       std::uint64_t budget_bytes;
     } rows[] = {{"direct_serial", t_serial, 0.0, b_serial},
@@ -187,17 +198,19 @@ int exact_bench_json(const std::string& path) {
                  std::abs(parallel.sigma_na - serial.sigma_na) / serial.sigma_na, b_parallel},
                 {"fft", t_fft, rel_err, b_fft}};
     for (const auto& r : rows) {
-      std::fprintf(f, "%s    {\"sites\": %zu, \"method\": \"%s\", \"wall_ms\": %.4f, "
+      std::fprintf(f, "%s    {\"sites\": %zu, \"method\": \"%s\", \"reps\": %d, "
+                      "\"wall_ms\": %.4f, \"median_ms\": %.4f, \"worst_ms\": %.4f, "
                       "\"speedup\": %.2f, \"sigma_rel_err\": %.3e, "
                       "\"peak_rss_kb\": %.0f, \"budget_peak_bytes\": %llu}",
-                   first ? "" : ",\n", n, r.method, r.ms, t_serial / r.ms, r.sigma_rel_err,
-                   bench::peak_rss_kb(), static_cast<unsigned long long>(r.budget_bytes));
+                   first ? "" : ",\n", n, r.method, reps, r.ms.best, r.ms.median, r.ms.worst,
+                   t_serial.best / r.ms.best, r.sigma_rel_err, bench::peak_rss_kb(),
+                   static_cast<unsigned long long>(r.budget_bytes));
       first = false;
     }
     std::printf("sites %6zu  direct %10.2f ms  parallel %10.2f ms (%.1fx)  "
                 "fft %8.2f ms (%.1fx)  fft rel err %.2e\n",
-                n, t_serial, t_parallel, t_serial / t_parallel, t_fft, t_serial / t_fft,
-                rel_err);
+                n, t_serial.best, t_parallel.best, t_serial.best / t_parallel.best, t_fft.best,
+                t_serial.best / t_fft.best, rel_err);
   }
   std::fprintf(f, "\n  ]\n}\n");
   std::fclose(f);

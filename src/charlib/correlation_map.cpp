@@ -68,112 +68,70 @@ std::vector<RgComponent> make_rg_components(const CharacterizedLibrary& chars,
 
 namespace {
 
-// Mixture mean and variance of the RG (eqs (7)-(8)).
-void mixture_stats(const std::vector<RgComponent>& comps, double& mean, double& variance) {
-  double m = 0.0, second = 0.0;
-  for (const auto& c : comps) {
-    m += c.weight * c.mean_na;
-    second += c.weight * (c.sigma_na * c.sigma_na + c.mean_na * c.mean_na);
+// The series of an RG mixture: sum_k w_k hermite_series(component k).
+HermiteSeries mixture_series(const std::vector<RgComponent>& components, double mu_l,
+                             double sigma_l) {
+  RGLEAK_REQUIRE(!components.empty(), "RG mixture has no components");
+  HermiteSeries mix;
+  for (const auto& c : components) {
+    RGLEAK_REQUIRE(c.model.has_value(),
+                   "the analytic covariance needs fitted models for every component");
+    mix.add_scaled(c.weight, hermite_series(*c.model, c.mean_na, mu_l, sigma_l));
   }
-  mean = m;
-  variance = second - m * m;
+  return mix;
+}
+
+// The order-1 series of an RG mixture under rho_{m,n} = rho_L:
+// g_0 = sum w mean, g_1 = sum w sigma.
+HermiteSeries first_order_mixture_series(const std::vector<RgComponent>& components) {
+  RGLEAK_REQUIRE(!components.empty(), "RG mixture has no components");
+  HermiteSeries mix;
+  for (const auto& c : components)
+    mix.add_scaled(c.weight, first_order_series(c.mean_na, c.sigma_na));
+  return mix;
 }
 
 }  // namespace
 
-AnalyticRgCovariance::AnalyticRgCovariance(std::vector<RgComponent> components, double mu_l,
-                                           double sigma_l, std::size_t grid_points)
-    : components_(std::move(components)), mu_l_(mu_l), sigma_l_(sigma_l) {
-  RGLEAK_REQUIRE(grid_points >= 2, "rho grid needs at least two points");
-  for (const auto& c : components_)
-    RGLEAK_REQUIRE(c.model.has_value(),
-                   "analytic RG covariance needs fitted models for every component");
-  mixture_stats(components_, mean_, variance_);
-  grid_.resize(grid_points);
-  for (std::size_t i = 0; i < grid_points; ++i) {
-    const double rho = static_cast<double>(i) / static_cast<double>(grid_points - 1);
-    grid_[i] = exact_covariance(rho);
+RgCovarianceModel::RgCovarianceModel(const std::vector<RgComponent>& components,
+                                     HermiteSeries mixture)
+    : mixture_(std::move(mixture)) {
+  // Mixture mean and variance of the RG (eqs (7)-(8)).
+  double m = 0.0, second = 0.0;
+  for (const auto& c : components) {
+    m += c.weight * c.mean_na;
+    second += c.weight * (c.sigma_na * c.sigma_na + c.mean_na * c.mean_na);
   }
+  mean_ = m;
+  variance_ = second - m * m;
 }
 
-double AnalyticRgCovariance::exact_covariance(double rho_l) const {
-  // F(rho) = sum_k sum_l w_k w_l Cov(X_k, X_l; rho); symmetric, so fold.
-  const std::size_t n = components_.size();
-  const double var_l = sigma_l_ * sigma_l_;
-  double f = 0.0;
-  for (std::size_t k = 0; k < n; ++k) {
-    const auto& a = components_[k];
-    for (std::size_t l = k; l < n; ++l) {
-      const auto& b = components_[l];
-      const double e12 = a.model->a * b.model->a *
-                         math::expectation_exp_quadratic_2d(a.model->b, a.model->c, b.model->b,
-                                                            b.model->c, mu_l_, var_l, rho_l);
-      const double cov = e12 - a.mean_na * b.mean_na;
-      f += (k == l ? 1.0 : 2.0) * a.weight * b.weight * cov;
-    }
-  }
-  return f;
-}
-
-double AnalyticRgCovariance::covariance(double rho_l) const {
+double RgCovarianceModel::covariance(double rho_l) const {
   RGLEAK_REQUIRE(rho_l >= 0.0 && rho_l <= 1.0, "rho_L must be in [0, 1]");
-  const double pos = rho_l * static_cast<double>(grid_.size() - 1);
-  const auto idx = std::min(static_cast<std::size_t>(pos), grid_.size() - 2);
-  const double frac = pos - static_cast<double>(idx);
-  return grid_[idx] + frac * (grid_[idx + 1] - grid_[idx]);
+  return series_covariance(mixture_, mixture_, rho_l);
 }
 
-CrossRgCovariance::CrossRgCovariance(std::vector<RgComponent> a, std::vector<RgComponent> b,
-                                     double mu_l, double sigma_l, std::size_t grid_points) {
-  RGLEAK_REQUIRE(grid_points >= 2, "rho grid needs at least two points");
-  RGLEAK_REQUIRE(!a.empty() && !b.empty(), "cross covariance needs non-empty mixtures");
-  for (const auto& c : a)
-    RGLEAK_REQUIRE(c.model.has_value(), "analytic cross covariance needs fitted models");
-  for (const auto& c : b)
-    RGLEAK_REQUIRE(c.model.has_value(), "analytic cross covariance needs fitted models");
-  const double var_l = sigma_l * sigma_l;
-  grid_.resize(grid_points);
-  for (std::size_t i = 0; i < grid_points; ++i) {
-    const double rho = static_cast<double>(i) / static_cast<double>(grid_points - 1);
-    double f = 0.0;
-    for (const auto& ca : a) {
-      for (const auto& cb : b) {
-        const double e12 =
-            ca.model->a * cb.model->a *
-            math::expectation_exp_quadratic_2d(ca.model->b, ca.model->c, cb.model->b,
-                                               cb.model->c, mu_l, var_l, rho);
-        f += ca.weight * cb.weight * (e12 - ca.mean_na * cb.mean_na);
-      }
-    }
-    grid_[i] = f;
-  }
-}
+AnalyticRgCovariance::AnalyticRgCovariance(const std::vector<RgComponent>& components,
+                                           double mu_l, double sigma_l)
+    : RgCovarianceModel(components, mixture_series(components, mu_l, sigma_l)) {}
+
+SimplifiedRgCovariance::SimplifiedRgCovariance(const std::vector<RgComponent>& components)
+    : RgCovarianceModel(components, first_order_mixture_series(components)) {}
+
+CrossRgCovariance::CrossRgCovariance(const std::vector<RgComponent>& a,
+                                     const std::vector<RgComponent>& b, double mu_l,
+                                     double sigma_l)
+    : a_(mixture_series(a, mu_l, sigma_l)), b_(mixture_series(b, mu_l, sigma_l)) {}
 
 CrossRgCovariance::CrossRgCovariance(const std::vector<RgComponent>& a,
                                      const std::vector<RgComponent>& b, bool simplified)
-    : simplified_(true) {
+    : a_(first_order_mixture_series(a)), b_(first_order_mixture_series(b)) {
   RGLEAK_REQUIRE(simplified, "use the analytic constructor for the exact mapping");
-  RGLEAK_REQUIRE(!a.empty() && !b.empty(), "cross covariance needs non-empty mixtures");
-  double sa = 0.0, sb = 0.0;
-  for (const auto& c : a) sa += c.weight * c.sigma_na;
-  for (const auto& c : b) sb += c.weight * c.sigma_na;
-  scale_ = sa * sb;
 }
 
 double CrossRgCovariance::covariance(double rho_l) const {
   RGLEAK_REQUIRE(rho_l >= 0.0 && rho_l <= 1.0, "rho_L must be in [0, 1]");
-  if (simplified_) return scale_ * rho_l;
-  const double pos = rho_l * static_cast<double>(grid_.size() - 1);
-  const auto idx = std::min(static_cast<std::size_t>(pos), grid_.size() - 2);
-  const double frac = pos - static_cast<double>(idx);
-  return grid_[idx] + frac * (grid_[idx + 1] - grid_[idx]);
-}
-
-SimplifiedRgCovariance::SimplifiedRgCovariance(const std::vector<RgComponent>& components) {
-  mixture_stats(components, mean_, variance_);
-  double s = 0.0;
-  for (const auto& c : components) s += c.weight * c.sigma_na;
-  rho_scale_ = s * s;
+  return series_covariance(a_, b_, rho_l);
 }
 
 }  // namespace rgleak::charlib

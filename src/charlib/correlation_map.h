@@ -7,22 +7,24 @@
 // exponential-quadratic expectation, which yields the exact mapping
 //   rho_{m,n} = f_{m,n}(rho_L)
 // from channel-length correlation to leakage correlation (Fig. 2: f is close
-// to the identity).
+// to the identity). The estimators evaluate it through its Mehler–Hermite
+// series (charlib/hermite_series.h); the closed form stays as the reference.
 //
 // The Random-Gate covariance of eq. (10) is the usage-weighted mixture of the
 // pairwise covariances over all (cell, state) components:
-//   F(rho_L) = sum_k sum_l w_k w_l Cov(X_k, X_l; rho_L).
-// Two implementations are provided:
-//  * AnalyticRgCovariance — exact, from the fitted models (cached on a rho
-//    grid and interpolated);
+//   F(rho_L) = sum_k sum_l w_k w_l Cov(X_k, X_l; rho_L),
+// which the series turns into one coefficient vector per mixture:
+// F(rho) = sum_j rho^j G_j^2 (plus the k = 0 mean term), G_j = sum_k w_k g_j(k).
+// Two constructions of the same model are provided:
+//  * AnalyticRgCovariance — exact, from the fitted models;
 //  * SimplifiedRgCovariance — the rho_{m,n} ~= rho_L assumption of section
-//    3.1.2, F(rho) = rho * (sum_k w_k sigma_k)^2, usable with MC-characterized
-//    libraries that carry no (a,b,c).
+//    3.1.2, the order-1 series F(rho) = rho * (sum_k w_k sigma_k)^2, usable
+//    with MC-characterized libraries that carry no (a,b,c).
 
-#include <memory>
 #include <vector>
 
 #include "charlib/characterize.h"
+#include "charlib/hermite_series.h"
 #include "math/mgf.h"
 
 namespace rgleak::charlib {
@@ -59,39 +61,39 @@ std::vector<RgComponent> make_rg_components(const CharacterizedLibrary& chars,
                                             const std::vector<double>& usage_alphas,
                                             double signal_probability);
 
-/// Interface: the RG leakage covariance as a function of length correlation
-/// (eq. (11)): covariance(rho) = F(rho) for distinct locations; variance() is
-/// sigma^2_{X_I} for coincident locations.
+/// The RG leakage covariance as a function of length correlation (eq. (11)):
+/// covariance(rho) = F(rho) for distinct locations; variance() is
+/// sigma^2_{X_I} for coincident locations. Built by AnalyticRgCovariance or
+/// SimplifiedRgCovariance.
 class RgCovarianceModel {
  public:
-  virtual ~RgCovarianceModel() = default;
   /// F(rho_L) for distinct locations; rho_L in [0, 1].
-  virtual double covariance(double rho_l) const = 0;
+  double covariance(double rho_l) const;
   /// sigma^2 of the RG leakage (same-location covariance).
-  virtual double variance() const = 0;
+  double variance() const { return variance_; }
   /// mu of the RG leakage.
-  virtual double mean() const = 0;
-};
+  double mean() const { return mean_; }
 
-/// Exact mixture covariance from fitted models, cached on a rho grid.
-class AnalyticRgCovariance final : public RgCovarianceModel {
- public:
-  /// Requires every component to carry a fitted model. `grid_points` controls
-  /// the rho-cache resolution.
-  AnalyticRgCovariance(std::vector<RgComponent> components, double mu_l, double sigma_l,
-                       std::size_t grid_points = 65);
-
-  double covariance(double rho_l) const override;
-  double variance() const override { return variance_; }
-  double mean() const override { return mean_; }
+ protected:
+  RgCovarianceModel(const std::vector<RgComponent>& components, HermiteSeries mixture);
 
  private:
-  double exact_covariance(double rho_l) const;
-
-  std::vector<RgComponent> components_;
-  double mu_l_, sigma_l_;
+  HermiteSeries mixture_;
   double mean_ = 0.0, variance_ = 0.0;
-  std::vector<double> grid_;  // F at rho = i/(grid_points-1)
+};
+
+/// Exact mixture covariance from the fitted models.
+class AnalyticRgCovariance final : public RgCovarianceModel {
+ public:
+  /// Requires every component to carry a fitted model.
+  AnalyticRgCovariance(const std::vector<RgComponent>& components, double mu_l, double sigma_l);
+};
+
+/// Simplified covariance under rho_{m,n} = rho_L (section 3.1.2): the same
+/// model at order 1.
+class SimplifiedRgCovariance final : public RgCovarianceModel {
+ public:
+  explicit SimplifiedRgCovariance(const std::vector<RgComponent>& components);
 };
 
 /// Covariance between the leakages of two *different* RG mixtures (e.g. two
@@ -101,8 +103,8 @@ class AnalyticRgCovariance final : public RgCovarianceModel {
 class CrossRgCovariance {
  public:
   /// Analytic form: both component lists must carry fitted models.
-  CrossRgCovariance(std::vector<RgComponent> a, std::vector<RgComponent> b, double mu_l,
-                    double sigma_l, std::size_t grid_points = 33);
+  CrossRgCovariance(const std::vector<RgComponent>& a, const std::vector<RgComponent>& b,
+                    double mu_l, double sigma_l);
   /// Simplified form (rho_mn = rho_L): F_AB(rho) = rho * (sum w sigma)_A *
   /// (sum w sigma)_B. Select with `simplified = true`; models not required.
   CrossRgCovariance(const std::vector<RgComponent>& a, const std::vector<RgComponent>& b,
@@ -111,23 +113,7 @@ class CrossRgCovariance {
   double covariance(double rho_l) const;
 
  private:
-  bool simplified_ = false;
-  double scale_ = 0.0;        // simplified mode
-  std::vector<double> grid_;  // analytic mode
-};
-
-/// Simplified covariance under rho_{m,n} = rho_L (section 3.1.2).
-class SimplifiedRgCovariance final : public RgCovarianceModel {
- public:
-  explicit SimplifiedRgCovariance(const std::vector<RgComponent>& components);
-
-  double covariance(double rho_l) const override { return rho_scale_ * rho_l; }
-  double variance() const override { return variance_; }
-  double mean() const override { return mean_; }
-
- private:
-  double rho_scale_ = 0.0;  // (sum_k w_k sigma_k)^2
-  double mean_ = 0.0, variance_ = 0.0;
+  HermiteSeries a_, b_;
 };
 
 }  // namespace rgleak::charlib

@@ -10,37 +10,15 @@ namespace rgleak::core {
 ConnectivityAwareEstimator::ConnectivityAwareEstimator(
     const charlib::CharacterizedLibrary& chars, CorrelationMode mode)
     : chars_(&chars), mode_(mode) {
-  if (mode_ == CorrelationMode::kAnalytic)
-    RGLEAK_REQUIRE(chars.has_models(),
-                   "analytic correlation mode needs an analytically characterized library");
-}
-
-const std::vector<double>& ConnectivityAwareEstimator::product_grid(
-    std::size_t cell_a, std::uint32_t state_a, std::size_t cell_b,
-    std::uint32_t state_b) const {
-  // Symmetric in the two (cell, state) pairs; canonicalize the key.
-  std::uint64_t ka = (static_cast<std::uint64_t>(cell_a) << 20) | state_a;
-  std::uint64_t kb = (static_cast<std::uint64_t>(cell_b) << 20) | state_b;
-  if (ka > kb) std::swap(ka, kb);
-  const std::uint64_t key = (ka << 32) | kb;
-  const auto it = product_grid_.find(key);
-  if (it != product_grid_.end()) return it->second;
-
-  const std::size_t ca = static_cast<std::size_t>(ka >> 20);
-  const auto sa = static_cast<std::uint32_t>(ka & 0xfffffu);
-  const std::size_t cb = static_cast<std::size_t>(kb >> 20);
-  const auto sb = static_cast<std::uint32_t>(kb & 0xfffffu);
-  const auto& ma = *chars_->cell(ca).states[sa].model;
-  const auto& mb = *chars_->cell(cb).states[sb].model;
-  const double mu = chars_->process().length().mean_nm;
-  const double sigma = chars_->process().length().sigma_total_nm();
-
-  std::vector<double> grid(kRhoGrid);
-  for (std::size_t i = 0; i < kRhoGrid; ++i) {
-    const double rho = static_cast<double>(i) / static_cast<double>(kRhoGrid - 1);
-    grid[i] = charlib::pair_product_expectation(ma, mb, mu, sigma, rho);
-  }
-  return product_grid_.emplace(key, std::move(grid)).first->second;
+  if (mode_ != CorrelationMode::kAnalytic) return;
+  RGLEAK_REQUIRE(chars.has_models(),
+                 "analytic correlation mode needs an analytically characterized library");
+  const double mu = chars.process().length().mean_nm;
+  const double sigma = chars.process().length().sigma_total_nm();
+  state_series_.resize(chars.size());
+  for (std::size_t c = 0; c < chars.size(); ++c)
+    for (const charlib::StateChar& st : chars.cell(c).states)
+      state_series_[c].push_back(charlib::hermite_series(*st.model, st.mean_na, mu, sigma));
 }
 
 LeakageEstimate ConnectivityAwareEstimator::estimate(const netlist::ConnectedNetlist& netlist,
@@ -54,44 +32,49 @@ LeakageEstimate ConnectivityAwareEstimator::estimate(const netlist::ConnectedNet
       netlist::propagate_probabilities(netlist, input_probability);
   const auto gate_inputs = netlist::gate_input_probabilities(netlist, net_probs);
 
+  // Per gate: the pruned state distribution's mean and total sigma (the
+  // diagonal term) and its Hermite series; in simplified mode the order-1
+  // series of the state-weighted process sigma (rho_mn = rho_L applies to the
+  // process-variation component only — state choice is independent across
+  // gates, so the state-mixing spread must not enter the cross covariance;
+  // cf. eq. (10)).
   struct GateDist {
-    std::size_t cell = 0;
-    std::vector<std::pair<std::uint32_t, double>> states;  // (state, prob), pruned
     double mean_na = 0.0;
-    double sigma_na = 0.0;       // state-mixed total sigma (diagonal term)
-    double proc_sigma_na = 0.0;  // state-weighted process sigma (rho_mn = rho_L model)
+    double sigma_na = 0.0;
+    charlib::HermiteSeries series;
   };
   std::vector<GateDist> dist(n);
   for (std::size_t g = 0; g < n; ++g) {
     const std::size_t ci = netlist.gate(g).cell_index;
     const cells::Cell& cell = chars_->library().cell(ci);
-    GateDist& d = dist[g];
-    d.cell = ci;
-    double mean = 0.0, second = 0.0, proc_sigma = 0.0;
+    std::vector<std::pair<std::uint32_t, double>> states;  // (state, prob), pruned
+    double total_p = 0.0;
     for (std::uint32_t s = 0; s < cell.num_states(); ++s) {
       double p = 1.0;
       for (int bit = 0; bit < cell.num_inputs(); ++bit)
         p *= ((s >> bit) & 1u) ? gate_inputs[g][static_cast<std::size_t>(bit)]
                                : 1.0 - gate_inputs[g][static_cast<std::size_t>(bit)];
       if (p < 1e-9) continue;
+      states.emplace_back(s, p);
+      total_p += p;
+    }
+    RGLEAK_REQUIRE(total_p > 0.0, "gate has empty state distribution");
+    // Renormalize after pruning.
+    double mean = 0.0, second = 0.0, proc_sigma = 0.0;
+    GateDist& d = dist[g];
+    for (auto& [s, p] : states) {
+      p /= total_p;
       const auto& st = chars_->cell(ci).states[s];
-      d.states.emplace_back(s, p);
       mean += p * st.mean_na;
       second += p * (st.sigma_na * st.sigma_na + st.mean_na * st.mean_na);
       proc_sigma += p * st.sigma_na;
+      if (mode_ == CorrelationMode::kAnalytic) d.series.add_scaled(p, state_series_[ci][s]);
     }
-    // Renormalize after pruning.
-    double total_p = 0.0;
-    for (auto& [s, p] : d.states) total_p += p;
-    RGLEAK_REQUIRE(total_p > 0.0, "gate has empty state distribution");
-    for (auto& [s, p] : d.states) p /= total_p;
-    mean /= total_p;
-    second /= total_p;
-    proc_sigma /= total_p;
     d.mean_na = mean;
     const double var = second - mean * mean;
     d.sigma_na = var > 0.0 ? std::sqrt(var) : 0.0;
-    d.proc_sigma_na = proc_sigma;
+    if (mode_ == CorrelationMode::kSimplified)
+      d.series = charlib::first_order_series(mean, proc_sigma);
   }
 
   // rho_L per grid offset.
@@ -114,29 +97,8 @@ LeakageEstimate ConnectivityAwareEstimator::estimate(const netlist::ConnectedNet
       const std::size_t rb = b / m, cb = b % m;
       const std::size_t dr = ra > rb ? ra - rb : rb - ra;
       const std::size_t dc = ca > cb ? ca - cb : cb - ca;
-      const double r = rho[dr * m + dc];
-      double cov;
-      if (mode_ == CorrelationMode::kSimplified) {
-        // rho_mn = rho_L applies to the process-variation component only —
-        // state choice is independent across gates, so the state-mixing
-        // spread must not enter the cross covariance (cf. eq. (10)).
-        cov = dist[a].proc_sigma_na * dist[b].proc_sigma_na * r;
-      } else {
-        const double pos = r * static_cast<double>(kRhoGrid - 1);
-        const auto idx = std::min(static_cast<std::size_t>(pos), kRhoGrid - 2);
-        const double frac = pos - static_cast<double>(idx);
-        cov = 0.0;
-        for (const auto& [sa, pa] : dist[a].states) {
-          for (const auto& [sb, pb] : dist[b].states) {
-            const std::vector<double>& grid =
-                product_grid(dist[a].cell, sa, dist[b].cell, sb);
-            const double e12 = grid[idx] + frac * (grid[idx + 1] - grid[idx]);
-            cov += pa * pb *
-                   (e12 - chars_->cell(dist[a].cell).states[sa].mean_na *
-                              chars_->cell(dist[b].cell).states[sb].mean_na);
-          }
-        }
-      }
+      const double cov = charlib::series_covariance(dist[a].series, dist[b].series,
+                                                    rho[dr * m + dc]);
       var += 2.0 * cov;
     }
   }

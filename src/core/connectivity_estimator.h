@@ -9,8 +9,6 @@
 // ball-park assumption costs on real(istic) topologies
 // (bench_signal_propagation).
 
-#include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "core/estimate.h"
@@ -20,6 +18,7 @@
 
 namespace rgleak::core {
 
+/// Immutable after construction: concurrent estimate() calls are safe.
 class ConnectivityAwareEstimator {
  public:
   ConnectivityAwareEstimator(const charlib::CharacterizedLibrary& chars, CorrelationMode mode);
@@ -33,13 +32,9 @@ class ConnectivityAwareEstimator {
  private:
   const charlib::CharacterizedLibrary* chars_;
   CorrelationMode mode_;
-
-  // Analytic mode: product-moment rho grids per (cell,state)x(cell,state).
-  static constexpr std::size_t kRhoGrid = 33;
-  mutable std::unordered_map<std::uint64_t, std::vector<double>> product_grid_;
-
-  const std::vector<double>& product_grid(std::size_t cell_a, std::uint32_t state_a,
-                                          std::size_t cell_b, std::uint32_t state_b) const;
+  // Analytic mode: the Hermite series of every (cell, state) fit, built once,
+  // so estimate() only reads shared state.
+  std::vector<std::vector<charlib::HermiteSeries>> state_series_;
 };
 
 }  // namespace rgleak::core

@@ -102,18 +102,12 @@ std::uint64_t CostModel::exact_direct_bytes(std::size_t gates, std::size_t rows,
   return 3 * n * sizeof(std::size_t) + sites * sizeof(double) + tiles * sizeof(double);
 }
 
-std::uint64_t CostModel::exact_fft_bytes(std::size_t rows, std::size_t cols, std::size_t types) {
-  const std::uint64_t pad = static_cast<std::uint64_t>(math::next_pow2(2 * rows - 1)) *
-                            math::next_pow2(2 * cols - 1);
+std::uint64_t CostModel::exact_fft_bytes(std::size_t rows, std::size_t cols) {
   const std::uint64_t sites = static_cast<std::uint64_t>(rows) * cols;
-  const std::uint64_t out = static_cast<std::uint64_t>(2 * rows - 1) * (2 * cols - 1);
-  const std::uint64_t t = types > 0 ? types : 1;
-  // Per type: occupancy grid + retained forward transform. Plus transform /
-  // correlate scratch (two padded complex grids live at once), the
-  // correlation output, and the per-offset rho and cov tables.
-  return t * (sites * sizeof(double) + pad * sizeof(std::complex<double>)) +
-         2 * pad * sizeof(std::complex<double>) + out * sizeof(double) +
-         2 * sites * sizeof(double);
+  // The transform grid (live rows x padded columns, complex) plus four
+  // per-offset tables: rho, its running power, and the two order weights
+  // that the autocorrelations overwrite.
+  return math::FoldedAutocorrelation2D::grid_bytes(rows, cols) + 4 * sites * sizeof(double);
 }
 
 std::uint64_t CostModel::mc_worker_bytes(std::size_t padded_rows, std::size_t padded_cols,

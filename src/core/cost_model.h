@@ -4,12 +4,13 @@
 //
 // Each rung of the paper's accuracy-vs-cost ladder has a known complexity in
 // the site count n: the exact pairwise sum is O(n^2) (direct) or
-// O(T^2 n log n) (FFT offset histogram), eq. (17) is O(n), and the integral
-// forms (eq. 20, eqs. 25/26) are O(1). Its arenas scale the same way: the
-// direct exact path pins O(n) gate/offset tables, the FFT path pins per-type
-// padded complex grids (the padding is a power of two >= 2n-1 per axis, so
-// the constant is large), eq. (17) and the integrals are effectively O(1),
-// and the MC engine pins one field sampler + FFT workspace per worker.
+// O(K n log n) (FFT offset sums over K Hermite orders), eq. (17) is O(n), and
+// the integral forms (eq. 20, eqs. 25/26) are O(1). Its arenas scale the same
+// way: the direct exact path pins O(n) gate/offset tables, the FFT path pins
+// one complex transform grid padded along the columns (a power of two
+// >= 2 cols - 1) plus a few offset tables, eq. (17) and the integrals are
+// effectively O(1), and the MC engine pins one field sampler + FFT workspace
+// per worker.
 //
 // A CostModel carries, per rung, a time law (basis, ms coefficient) and a
 // byte law (basis, byte coefficient). The budgeted estimators walk down the
@@ -79,12 +80,13 @@ class CostModel {
   /// the per-offset rho grid, and the tile partials.
   static std::uint64_t exact_direct_bytes(std::size_t gates, std::size_t rows, std::size_t cols);
 
-  /// Arenas of ExactEstimator::estimate_fft: per-type occupancy grids and
-  /// padded forward transforms (padding next_pow2(2n-1) per axis), transform
-  /// scratch, the correlation output, and the rho/cov offset grids. `types`
-  /// is the number of distinct cell types placed (pass the library size for
-  /// a conservative preflight).
-  static std::uint64_t exact_fft_bytes(std::size_t rows, std::size_t cols, std::size_t types);
+  /// Arenas of ExactEstimator::estimate_fft, which runs its series orders
+  /// one packed pair at a time: the autocorrelation's transform grid (rows x
+  /// next_pow2(2 cols - 1) complex cells) and the per-offset rho, rho-power
+  /// and two order-weight tables. Independent of the number of cell types
+  /// placed. Each transform task's four padded columns of scratch (32 KiB at
+  /// 512 padded rows) are not charged.
+  static std::uint64_t exact_fft_bytes(std::size_t rows, std::size_t cols);
 
   /// Per-worker arenas of the MC engine: the worker's field-sampler copy
   /// (eigenvalue table on the padded grid, spare-field cache, column and row

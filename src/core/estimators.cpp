@@ -1,5 +1,6 @@
 #include "core/estimators.h"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -144,82 +145,42 @@ LeakageEstimate estimate_integral_polar(const RandomGate& rg, const placement::F
 
 ExactEstimator::ExactEstimator(const charlib::CharacterizedLibrary& chars,
                                double signal_probability, CorrelationMode mode)
-    : chars_(&chars),
-      signal_probability_(signal_probability),
-      mode_(mode),
-      num_types_(chars.size()),
-      pair_grid_(mode == CorrelationMode::kAnalytic ? chars.size() * chars.size() : 0) {
-  effective_.resize(num_types_);
-  proc_sigma_.resize(num_types_);
-  state_probs_.resize(num_types_);
-  for (std::size_t i = 0; i < num_types_; ++i) {
-    state_probs_[i] = chars.state_probabilities(i, signal_probability);
-    effective_[i] = chars.effective(i, state_probs_[i]);
-    // State-weighted process sigma: the component of spread that is shared
-    // through L (state choice is independent across gates and must not enter
-    // cross covariances; cf. eq. (10)).
-    double ps = 0.0;
-    for (std::size_t s = 0; s < state_probs_[i].size(); ++s)
-      ps += state_probs_[i][s] * chars.cell(i).states[s].sigma_na;
-    proc_sigma_[i] = ps;
-  }
-  if (mode_ == CorrelationMode::kAnalytic) {
+    : chars_(&chars), num_types_(chars.size()) {
+  if (mode == CorrelationMode::kAnalytic) {
     RGLEAK_REQUIRE(chars.has_models(),
                    "analytic correlation mode needs an analytically characterized library");
   }
-}
-
-double ExactEstimator::exact_pair_covariance(std::size_t m, std::size_t n, double rho_l) const {
-  const double mu_l = chars_->process().length().mean_nm;
-  const double sigma_l = chars_->process().length().sigma_total_nm();
-  const auto& cm = chars_->cell(m);
-  const auto& cn = chars_->cell(n);
-  double cov = 0.0;
-  for (std::size_t sm = 0; sm < cm.states.size(); ++sm) {
-    const double pm = state_probs_[m][sm];
-    if (pm == 0.0) continue;
-    for (std::size_t sn = 0; sn < cn.states.size(); ++sn) {
-      const double pn = state_probs_[n][sn];
-      if (pn == 0.0) continue;
-      cov += pm * pn *
-             (charlib::pair_product_expectation(*cm.states[sm].model, *cn.states[sn].model, mu_l,
-                                                sigma_l, rho_l) -
-              cm.states[sm].mean_na * cn.states[sn].mean_na);
+  const double mu_l = chars.process().length().mean_nm;
+  const double sigma_l = chars.process().length().sigma_total_nm();
+  effective_.resize(num_types_);
+  series_.resize(num_types_);
+  for (std::size_t i = 0; i < num_types_; ++i) {
+    const std::vector<double> probs = chars.state_probabilities(i, signal_probability);
+    effective_[i] = chars.effective(i, probs);
+    const std::vector<charlib::StateChar>& states = chars.cell(i).states;
+    if (mode == CorrelationMode::kAnalytic) {
+      for (std::size_t s = 0; s < states.size(); ++s) {
+        if (probs[s] == 0.0) continue;
+        const charlib::StateChar& st = states[s];
+        series_[i].add_scaled(probs[s],
+                              charlib::hermite_series(*st.model, st.mean_na, mu_l, sigma_l));
+      }
+    } else {
+      // State-weighted process sigma: the component of spread that is shared
+      // through L (state choice is independent across gates and must not
+      // enter cross covariances; cf. eq. (10)).
+      double ps = 0.0;
+      for (std::size_t s = 0; s < states.size(); ++s) ps += probs[s] * states[s].sigma_na;
+      series_[i] = charlib::first_order_series(effective_[i].mean_na, ps);
     }
   }
-  return cov;
-}
-
-const std::vector<double>& ExactEstimator::pair_grid(std::size_t m, std::size_t n) const {
-  std::atomic<const std::vector<double>*>& slot = pair_grid_[m * num_types_ + n];
-  if (const std::vector<double>* g = slot.load(std::memory_order_acquire)) return *g;
-
-  std::lock_guard<std::mutex> lock(pair_grid_mutex_);
-  if (const std::vector<double>* g = slot.load(std::memory_order_relaxed)) return *g;
-  auto grid = std::make_unique<std::vector<double>>(kRhoGrid);
-  for (std::size_t i = 0; i < kRhoGrid; ++i) {
-    const double rho = static_cast<double>(i) / static_cast<double>(kRhoGrid - 1);
-    (*grid)[i] = exact_pair_covariance(m, n, rho);
-  }
-  const std::vector<double>* ptr = grid.get();
-  pair_grid_owned_.push_back(std::move(grid));
-  if (m != n)
-    pair_grid_[n * num_types_ + m].store(ptr, std::memory_order_release);  // symmetric
-  slot.store(ptr, std::memory_order_release);
-  return *ptr;
 }
 
 double ExactEstimator::type_covariance(std::size_t type_m, std::size_t type_n,
                                        double rho_l) const {
   RGLEAK_REQUIRE(type_m < num_types_ && type_n < num_types_, "cell type out of range");
   RGLEAK_REQUIRE(rho_l >= 0.0 && rho_l <= 1.0, "rho_L must be in [0, 1]");
-  if (mode_ == CorrelationMode::kSimplified)
-    return proc_sigma_[type_m] * proc_sigma_[type_n] * rho_l;
-  const std::vector<double>& grid = pair_grid(type_m, type_n);
-  const double pos = rho_l * static_cast<double>(kRhoGrid - 1);
-  const auto idx = std::min(static_cast<std::size_t>(pos), kRhoGrid - 2);
-  const double frac = pos - static_cast<double>(idx);
-  return grid[idx] + frac * (grid[idx + 1] - grid[idx]);
+  return charlib::series_covariance(series_[type_m], series_[type_n], rho_l);
 }
 
 std::vector<double> ExactEstimator::offset_rho(const placement::Floorplan& fp) const {
@@ -278,21 +239,13 @@ LeakageEstimate ExactEstimator::estimate_direct(const placement::Placement& plac
   const util::MemoryReservation arena(
       CostModel::exact_direct_bytes(n, fp.rows, fp.cols), "core.exact.direct");
 
-  // Pre-resolve gate types/coordinates and warm the pair grids for used
-  // types, so the tiled loop below is read-only on shared state.
+  // Pre-resolve gate types and coordinates for the tiled loop below.
   std::vector<std::size_t> type(n), row(n), col(n);
   for (std::size_t i = 0; i < n; ++i) {
     type[i] = nl.gate(i).cell_index;
     const std::size_t site = placement.site_of(i);
     row[i] = site / m;
     col[i] = site % m;
-  }
-  if (mode_ == CorrelationMode::kAnalytic) {
-    std::vector<bool> used(num_types_, false);
-    for (std::size_t t : type) used[t] = true;
-    for (std::size_t a = 0; a < num_types_; ++a)
-      for (std::size_t b = a; b < num_types_; ++b)
-        if (used[a] && used[b]) (void)pair_grid(a, b);
   }
 
   const std::vector<double> rho = offset_rho(fp);
@@ -319,7 +272,7 @@ LeakageEstimate ExactEstimator::estimate_direct(const placement::Placement& plac
       for (std::size_t b = a + 1; b < n; ++b) {
         const std::size_t dr = ra > row[b] ? ra - row[b] : row[b] - ra;
         const std::size_t dc = ca > col[b] ? ca - col[b] : col[b] - ca;
-        s += type_covariance(ta, type[b], rho[dr * m + dc]);
+        s += charlib::series_covariance(series_[ta], series_[type[b]], rho[dr * m + dc]);
       }
     }
     partial[ti] = s;
@@ -334,103 +287,70 @@ LeakageEstimate ExactEstimator::estimate_fft(const placement::Placement& placeme
                                              const util::RunControl* run) const {
   static util::metrics::Histogram& rung_ms =
       util::metrics::Registry::instance().histogram("estimator.exact_fft_ms");
+  static util::metrics::Counter& transforms =
+      util::metrics::Registry::instance().counter("estimator.exact_fft_transforms");
   const util::metrics::ScopedTimerMs timer(rung_ms);
   const netlist::Netlist& nl = placement.netlist();
   const std::size_t n = nl.size();
   const placement::Floorplan& fp = placement.floorplan();
   const std::size_t k = fp.rows, m = fp.cols;
 
-  double mean = 0.0, diag = 0.0;
+  // Self terms, and the k = 0 series term g_0 g_0' - mean mean' over ordered
+  // pairs of distinct gates in closed form: with d = g_0 - mean and
+  // s = g_0 + mean it is (sum d)(sum s) - sum d s, which stays exact where
+  // g_0 = mean.
+  double mean = 0.0, diag = 0.0, d_sum = 0.0, s_sum = 0.0, ds_sum = 0.0;
+  std::size_t order = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const auto& eff = effective_[nl.gate(i).cell_index];
-    mean += eff.mean_na;
-    diag += eff.sigma_na * eff.sigma_na;
+    const std::size_t t = nl.gate(i).cell_index;
+    mean += effective_[t].mean_na;
+    diag += effective_[t].sigma_na * effective_[t].sigma_na;
+    const double d = series_[t].g[0] - series_[t].mean_na;
+    const double s = series_[t].g[0] + series_[t].mean_na;
+    d_sum += d;
+    s_sum += s;
+    ds_sum += d * s;
+    order = std::max(order, series_[t].order());
   }
 
-  // Conservative preflight charge: the per-type padded transforms dominate.
-  // Distinct placed types are not known until the scan below, so charge for
-  // the library's full type count (an upper bound; released at return).
   RGLEAK_FAILPOINT("core.exact.fft.alloc");
-  const util::MemoryReservation arena(
-      CostModel::exact_fft_bytes(k, m, mode_ == CorrelationMode::kSimplified ? 1 : num_types_),
-      "core.exact.fft");
+  const util::MemoryReservation arena(CostModel::exact_fft_bytes(k, m), "core.exact.fft");
 
+  // For orders (j, j + 1): per-site weights g_j, g_{j+1} of the placed cell
+  // types, their folded autocorrelations R_j, R_{j+1} (computed in place),
+  // and the dot with rho^j, rho^{j+1} over every offset but (0, 0), whose
+  // self pairs are the diagonal above. Orders add in sequence, so the sum
+  // does not depend on the thread count.
+  double var = diag + (d_sum * s_sum - ds_sum);
   const std::vector<double> rho = offset_rho(fp);
-  const math::CrossCorrelator2D xcorr(k, m);
-  const std::size_t out_cols = xcorr.out_cols();
-
-  // Dot an offset-count map (signed offsets) against a per-|offset| weight
-  // table, skipping (0, 0) — the self pairs are the `diag` term above.
-  const auto fold_dot = [&](const std::vector<double>& counts,
-                            const std::vector<double>& weight, bool integer_counts) {
-    double s = 0.0;
-    for (std::size_t r = 0; r < xcorr.out_rows(); ++r) {
-      const std::size_t dr =
-          r >= k - 1 ? r - (k - 1) : (k - 1) - r;  // |signed row offset|
-      for (std::size_t c = 0; c < out_cols; ++c) {
-        const std::size_t dc = c >= m - 1 ? c - (m - 1) : (m - 1) - c;
-        if (dr == 0 && dc == 0) continue;
-        // The FFT returns near-integers for indicator grids; snap them so the
-        // histogram is exact and the path matches the direct sum to rounding.
-        const double cnt =
-            integer_counts ? std::round(counts[r * out_cols + c]) : counts[r * out_cols + c];
-        if (cnt != 0.0) s += cnt * weight[dr * m + dc];
-      }
+  std::vector<double> power(k * m, 1.0);  // rho^(j-1) entering pair (j, j+1)
+  std::vector<double> wa(k * m), wb(k * m);
+  math::FoldedAutocorrelation2D acf(k, m);
+  for (std::size_t j = 1; j <= order; j += 2) {
+    RGLEAK_FAILPOINT("exact.fft_pair");
+    const bool two = j + 1 <= order;
+    std::fill(wa.begin(), wa.end(), 0.0);
+    std::fill(wb.begin(), wb.end(), 0.0);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::vector<double>& g = series_[nl.gate(i).cell_index].g;
+      const std::size_t site = placement.site_of(i);
+      if (j < g.size()) wa[site] = g[j];
+      if (j + 1 < g.size()) wb[site] = g[j + 1];
     }
-    return s;
-  };
-
-  double var = diag;
-  if (run != nullptr) run->poll("exact.fft");
-  if (mode_ == CorrelationMode::kSimplified) {
-    // cov(t, u, rho) = ps_t ps_u rho separates, so a single autocorrelation
-    // of the ps-weighted occupancy grid carries all type pairs at once.
-    std::vector<double> weighted(k * m, 0.0);
-    for (std::size_t g = 0; g < n; ++g)
-      weighted[placement.site_of(g)] = proc_sigma_[nl.gate(g).cell_index];
-    const auto ft = xcorr.transform(weighted);
-    var += fold_dot(xcorr.correlate(ft, ft), rho, /*integer_counts=*/false);
-  } else {
-    // Local ids for the types actually present; one indicator grid each.
-    std::vector<std::ptrdiff_t> local(num_types_, -1);
-    std::vector<std::size_t> types;
-    for (std::size_t g = 0; g < n; ++g) {
-      const std::size_t t = nl.gate(g).cell_index;
-      if (local[t] < 0) {
-        local[t] = static_cast<std::ptrdiff_t>(types.size());
-        types.push_back(t);
-      }
+    acf.correlate(wa.data(), two ? wb.data() : nullptr, wa.data(), two ? wb.data() : nullptr,
+                  pool, run);
+    transforms.add(2);
+    double sa = 0.0, sb = 0.0;
+    for (std::size_t off = 1; off < k * m; ++off) {
+      const double pa = power[off] * rho[off];
+      const double pb = pa * rho[off];
+      sa += wa[off] * pa;
+      sb += wb[off] * pb;
+      power[off] = pb;
     }
-    std::vector<std::vector<double>> occupancy(types.size(),
-                                               std::vector<double>(k * m, 0.0));
-    for (std::size_t g = 0; g < n; ++g)
-      occupancy[static_cast<std::size_t>(local[nl.gate(g).cell_index])]
-                [placement.site_of(g)] = 1.0;
-
-    std::vector<std::vector<std::complex<double>>> ft(types.size());
-    pool.parallel_for(types.size(),
-                      [&](std::size_t i) { ft[i] = xcorr.transform(occupancy[i]); }, run);
-
-    std::vector<std::pair<std::size_t, std::size_t>> pairs;
-    for (std::size_t i = 0; i < types.size(); ++i)
-      for (std::size_t j = i; j < types.size(); ++j) pairs.emplace_back(i, j);
-
-    // Per-pair partials, reduced in fixed order (thread-count independent).
-    std::vector<double> partial(pairs.size(), 0.0);
-    pool.parallel_for(pairs.size(), [&](std::size_t p) {
-      RGLEAK_FAILPOINT("exact.fft_pair");
-      const auto [i, j] = pairs[p];
-      std::vector<double> cov(k * m);
-      for (std::size_t off = 0; off < k * m; ++off)
-        cov[off] = type_covariance(types[i], types[j], rho[off]);
-      // Ordered-pair counts for (i, j) summed over signed offsets equal those
-      // for (j, i), so off-diagonal type pairs carry weight 2.
-      partial[p] = (i == j ? 1.0 : 2.0) *
-                   fold_dot(xcorr.correlate(ft[i], ft[j]), cov, /*integer_counts=*/true);
-    }, run);
-    for (double p : partial) var += p;
+    var += sa;
+    var += sb;
   }
-
   return checked_estimate("ExactEstimator::estimate_fft", "exact_fft", mean, var, n, fp);
 }
 

@@ -17,17 +17,15 @@
 //                           baseline the paper compares against (Table 1,
 //                           Fig. 6). Two evaluation paths: the direct O(n^2)
 //                           double loop (reference; thread-pool tiled), and
-//                           an exact offset-histogram transform — pairs on
-//                           the k x m grid are fully described by (cell-type
-//                           pair, |drow|, |dcol|), so the sum collapses to
-//                           sum_offsets sum_(t,u) count * cov, with the
-//                           per-type-pair offset counts obtained by 2-D FFT
-//                           cross-correlation of type-occupancy indicator
-//                           grids in O(T^2 n log n).
+//                           an exact offset transform — the pair covariance
+//                           is the Hermite series sum_k rho^k g_k(t) g_k(u)
+//                           (charlib/hermite_series.h), so the sum collapses
+//                           to sum_k sum_offsets R_k(offset) rho(offset)^k,
+//                           with R_k the autocorrelation of the grid of
+//                           per-site g_k, two orders per complex 2-D FFT:
+//                           O(K n log n) for K ~ 12 series orders, whatever
+//                           the number of placed cell types.
 
-#include <atomic>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "core/estimate.h"
@@ -72,7 +70,7 @@ LeakageEstimate estimate_integral_polar(const RandomGate& rg, const placement::F
 enum class ExactMethod {
   kAuto,    ///< FFT for large grids, direct for tiny ones.
   kDirect,  ///< O(n^2) pairwise double loop (tiled over the thread pool).
-  kFft,     ///< O(T^2 n log n) FFT offset histogram.
+  kFft,     ///< O(K n log n) FFT offset sums, K series orders.
 };
 
 struct ExactOptions {
@@ -84,7 +82,7 @@ struct ExactOptions {
   /// Optional caller-provided pool; overrides `threads` when non-null.
   util::ThreadPool* pool = nullptr;
   /// Optional run control: polled between chunks (direct-path tiles, FFT
-  /// transform/type-pair batches), so an armed deadline or a stop request
+  /// row and column batches), so an armed deadline or a stop request
   /// cancels the estimate within one chunk (DeadlineExceeded). Unarmed cost
   /// is one relaxed atomic load per chunk.
   const util::RunControl* run = nullptr;
@@ -93,9 +91,10 @@ struct ExactOptions {
 /// The "true leakage" of a placed design. The covariance between two placed
 /// gates mixes the per-state pairwise covariances of their cell types under
 /// the signal-probability state distribution; in analytic mode these come
-/// from the f_{m,n} mapping (cached per type pair on a rho grid), in
-/// simplified mode cov = sigma_m sigma_n rho_L(d). Thread-safe: concurrent
-/// estimate() / type_covariance() calls are allowed.
+/// from the f_{m,n} mapping through its Hermite series (one state-mixed
+/// coefficient vector per cell type), in simplified mode cov = sigma_m
+/// sigma_n rho_L(d), the same series at order 1. Immutable after
+/// construction, so concurrent estimate() / type_covariance() calls are safe.
 class ExactEstimator {
  public:
   ExactEstimator(const charlib::CharacterizedLibrary& chars, double signal_probability,
@@ -114,23 +113,9 @@ class ExactEstimator {
 
  private:
   const charlib::CharacterizedLibrary* chars_;
-  double signal_probability_;
-  CorrelationMode mode_;
-  std::vector<charlib::EffectiveCellStats> effective_;     // per library cell
-  std::vector<double> proc_sigma_;                         // state-weighted process sigma
-  std::vector<std::vector<double>> state_probs_;           // per library cell
+  std::vector<charlib::EffectiveCellStats> effective_;  // per library cell
+  std::vector<charlib::HermiteSeries> series_;          // per library cell
   std::size_t num_types_ = 0;
-
-  // Analytic mode: per type pair, covariance sampled on a uniform rho grid.
-  // Lazily built, double-checked: a published slot is immutable, so the hot
-  // path is a single acquire load; misses build under the mutex.
-  static constexpr std::size_t kRhoGrid = 33;
-  mutable std::vector<std::atomic<const std::vector<double>*>> pair_grid_;  // p*p slots
-  mutable std::vector<std::unique_ptr<const std::vector<double>>> pair_grid_owned_;
-  mutable std::mutex pair_grid_mutex_;
-
-  const std::vector<double>& pair_grid(std::size_t m, std::size_t n) const;
-  double exact_pair_covariance(std::size_t m, std::size_t n, double rho_l) const;
 
   /// rho_L per grid offset (|drow| * cols + |dcol|), shared by both paths.
   std::vector<double> offset_rho(const placement::Floorplan& fp) const;

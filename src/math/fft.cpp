@@ -1,9 +1,11 @@
 #include "math/fft.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/failpoint.h"
 #include "util/require.h"
+#include "util/thread_pool.h"
 
 namespace rgleak::math {
 
@@ -152,50 +154,93 @@ void FftPlan::run(std::complex<double>* a, bool inverse) const {
   }
 }
 
-CrossCorrelator2D::CrossCorrelator2D(std::size_t rows, std::size_t cols)
+FoldedAutocorrelation2D::FoldedAutocorrelation2D(std::size_t rows, std::size_t cols)
     : rows_(rows),
       cols_(cols),
-      pad_rows_(next_pow2(2 * rows - 1)),
-      pad_cols_(next_pow2(2 * cols - 1)) {
-  RGLEAK_REQUIRE(rows >= 1 && cols >= 1, "cross-correlation needs a non-empty grid");
+      pad_rows_(next_pow2(2 * std::max<std::size_t>(rows, 1) - 1)),
+      pad_cols_(next_pow2(2 * std::max<std::size_t>(cols, 1) - 1)),
+      col_plan_(pad_rows_),
+      row_plan_(pad_cols_) {
+  RGLEAK_REQUIRE(rows >= 1 && cols >= 1, "autocorrelation needs a non-empty grid");
+  grid_.resize(rows_ * pad_cols_);
 }
 
-std::vector<std::complex<double>> CrossCorrelator2D::transform(
-    const std::vector<double>& grid) const {
-  RGLEAK_REQUIRE(grid.size() == rows_ * cols_, "cross-correlation: grid size mismatch");
-  std::vector<std::complex<double>> padded(pad_rows_ * pad_cols_);
-  for (std::size_t r = 0; r < rows_; ++r)
-    for (std::size_t c = 0; c < cols_; ++c) padded[r * pad_cols_ + c] = grid[r * cols_ + c];
-  fft2d(padded, pad_rows_, pad_cols_, /*inverse=*/false);
-  return padded;
+std::uint64_t FoldedAutocorrelation2D::grid_bytes(std::size_t rows, std::size_t cols) {
+  return static_cast<std::uint64_t>(rows) * next_pow2(2 * cols - 1) *
+         sizeof(std::complex<double>);
 }
 
-std::vector<double> CrossCorrelator2D::correlate(
-    const std::vector<std::complex<double>>& fa,
-    const std::vector<std::complex<double>>& fb) const {
-  RGLEAK_REQUIRE(fa.size() == pad_rows_ * pad_cols_ && fb.size() == fa.size(),
-                 "cross-correlation: transform size mismatch");
-  std::vector<std::complex<double>> prod(fa.size());
-  for (std::size_t i = 0; i < fa.size(); ++i) prod[i] = std::conj(fa[i]) * fb[i];
-  fft2d(prod, pad_rows_, pad_cols_, /*inverse=*/true);
+void FoldedAutocorrelation2D::correlate(const double* a, const double* b, double* out_a,
+                                        double* out_b, util::ThreadPool& pool,
+                                        const util::RunControl* run) {
+  RGLEAK_REQUIRE((b == nullptr) == (out_b == nullptr),
+                 "autocorrelation: give both the second grid and its output, or neither");
+  const std::size_t k = rows_, m = cols_, pr = pad_rows_, pc = pad_cols_;
+  // Tasks carry at least kGrain complex cells, so a small grid runs each
+  // pass as one task on the calling thread instead of waking the pool.
+  constexpr std::size_t kGrain = 2048;
+  const std::size_t rows_per_task = std::max<std::size_t>(1, kGrain / pc);
+  const std::size_t mirrored_per_task = std::max<std::size_t>(1, kGrain / (2 * pr));
 
-  // Circular result: offset (dr, dc) lives at ((dr mod R), (dc mod C)); the
-  // padding guarantees the residues of the valid offsets are distinct.
-  std::vector<double> out(out_rows() * out_cols());
-  for (std::ptrdiff_t dr = -(static_cast<std::ptrdiff_t>(rows_) - 1);
-       dr < static_cast<std::ptrdiff_t>(rows_); ++dr) {
-    const std::size_t src_r =
-        static_cast<std::size_t>(dr + static_cast<std::ptrdiff_t>(pad_rows_)) % pad_rows_;
-    for (std::ptrdiff_t dc = -(static_cast<std::ptrdiff_t>(cols_) - 1);
-         dc < static_cast<std::ptrdiff_t>(cols_); ++dc) {
-      const std::size_t src_c =
-          static_cast<std::size_t>(dc + static_cast<std::ptrdiff_t>(pad_cols_)) % pad_cols_;
-      out[static_cast<std::size_t>(dr + static_cast<std::ptrdiff_t>(rows_) - 1) * out_cols() +
-          static_cast<std::size_t>(dc + static_cast<std::ptrdiff_t>(cols_) - 1)] =
-          prod[src_r * pad_cols_ + src_c].real();
+  // Forward row pass over the live rows: a + i b, zero-padded to pc columns.
+  pool.parallel_for((k + rows_per_task - 1) / rows_per_task, [&](std::size_t t) {
+    for (std::size_t r = t * rows_per_task; r < std::min(k, (t + 1) * rows_per_task); ++r) {
+      std::complex<double>* row = grid_.data() + r * pc;
+      for (std::size_t c = 0; c < m; ++c) row[c] = {a[r * m + c], b ? b[r * m + c] : 0.0};
+      std::fill(row + m, row + pc, std::complex<double>());
+      row_plan_.run(row, /*inverse=*/false);
     }
-  }
-  return out;
+  }, run);
+
+  // Column pass, columns f and -f together: the forward transform of both
+  // (rows past k are zero), the split into S(f) = S(-f) = (|A|^2 + i |B|^2)
+  // with the inverse's 1/(pr pc) folded in (powers of two: exact), and the
+  // inverse transform down to the k live rows, which are all the fold needs
+  // (R(-d) = R(d)).
+  const double scale = 0.25 / static_cast<double>(pr) / static_cast<double>(pc);
+  const std::size_t mirrored = pc / 2 + 1;  // columns 0..pc/2 and their mirrors
+  pool.parallel_for((mirrored + mirrored_per_task - 1) / mirrored_per_task, [&](std::size_t t) {
+    std::vector<std::complex<double>> x(pr), y(pr), sx(pr), sy(pr);
+    for (std::size_t c = t * mirrored_per_task;
+         c < std::min(mirrored, (t + 1) * mirrored_per_task); ++c) {
+      const std::size_t cm = (pc - c) % pc;  // c itself for c = 0 and c = pc / 2
+      for (std::size_t r = 0; r < pr; ++r) {
+        x[r] = r < k ? grid_[r * pc + c] : std::complex<double>();
+        y[r] = r < k ? grid_[r * pc + cm] : std::complex<double>();
+      }
+      col_plan_.run(x.data(), /*inverse=*/false);
+      if (cm != c) col_plan_.run(y.data(), /*inverse=*/false);
+      const std::vector<std::complex<double>>& z = cm != c ? y : x;
+      for (std::size_t r = 0; r < pr; ++r) {
+        const std::size_t rm = (pr - r) % pr;
+        const std::complex<double> zf = x[r], zm = std::conj(z[rm]);
+        const std::complex<double> s(std::norm(zf + zm) * scale, std::norm(zf - zm) * scale);
+        sx[r] = s;
+        sy[rm] = s;
+      }
+      col_plan_.run_unscaled(sx.data(), /*inverse=*/true, /*keep=*/k);
+      for (std::size_t r = 0; r < k; ++r) grid_[r * pc + c] = sx[r];
+      if (cm != c) {
+        col_plan_.run_unscaled(sy.data(), /*inverse=*/true, /*keep=*/k);
+        for (std::size_t r = 0; r < k; ++r) grid_[r * pc + cm] = sy[r];
+      }
+    }
+  }, run);
+
+  // Inverse row pass, then the fold of the signed offsets (i, +-j) and
+  // (-i, -+j) onto (i, j): R(i, j) + R(i, -j), doubled for i > 0.
+  pool.parallel_for((k + rows_per_task - 1) / rows_per_task, [&](std::size_t t) {
+    for (std::size_t i = t * rows_per_task; i < std::min(k, (t + 1) * rows_per_task); ++i) {
+      std::complex<double>* row = grid_.data() + i * pc;
+      row_plan_.run_unscaled(row, /*inverse=*/true, pc);
+      const double w = i == 0 ? 1.0 : 2.0;
+      for (std::size_t j = 0; j < m; ++j) {
+        const std::complex<double> v = j == 0 ? row[0] : row[j] + row[pc - j];
+        out_a[i * m + j] = w * v.real();
+        if (out_b != nullptr) out_b[i * m + j] = w * v.imag();
+      }
+    }
+  }, run);
 }
 
 }  // namespace rgleak::math

@@ -1,11 +1,17 @@
 #pragma once
 // Radix-2 complex FFT (1-D and 2-D). Substrate for the circulant-embedding
-// sampler of spatially correlated channel-length fields (process module).
+// sampler of spatially correlated channel-length fields (process module) and
+// for the exact estimator's offset sums (folded 2-D autocorrelations).
 
 #include <complex>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
+
+namespace rgleak::util {
+class RunControl;
+class ThreadPool;
+}  // namespace rgleak::util
 
 namespace rgleak::math {
 
@@ -25,7 +31,8 @@ std::size_t next_pow2(std::size_t n);
 /// This removes the sequential `w *= w_len` recurrence from the butterfly
 /// inner loop (a long dependency chain that also accumulates rounding error),
 /// and makes run() allocation-free — the substrate for the Monte-Carlo
-/// field sampler's per-column and per-row transforms.
+/// field sampler's per-column and per-row transforms and for
+/// FoldedAutocorrelation2D.
 ///
 /// The butterflies work on explicit (re, im) doubles rather than
 /// std::complex, whose multiply carries an inf/NaN recovery branch that
@@ -70,34 +77,43 @@ class FftPlan {
   std::vector<std::complex<double>> twiddle_;
 };
 
-/// Linear (zero-padded, non-circular) 2-D cross-correlation of real
-/// rows x cols grids via the FFT. Splitting the transform from the product
-/// lets callers correlate T grids pairwise with T forward transforms instead
-/// of one per pair (the exact-estimator offset histogram does exactly this).
-class CrossCorrelator2D {
+/// Linear (zero-padded, non-circular) 2-D autocorrelations of real
+/// rows x cols grids, folded onto absolute offsets:
+///   out(i, j) = sum of a(s) a(t) over the ordered site pairs (s, t) with
+///               |row(s) - row(t)| = i and |col(s) - col(t)| = j,
+/// for i < rows, j < cols; out(0, 0) = sum a^2. For an indicator grid this is
+/// the histogram of pair offsets.
+///
+/// Two grids share one complex transform: a goes in the real part, b in the
+/// imaginary part, and the spectrum split
+///   |A(f)|^2 + i |B(f)|^2 = (|Z(f) + conj Z(-f)|^2 + i |Z(f) - conj Z(-f)|^2) / 4
+/// lets one inverse return both autocorrelations. The forward row pass covers
+/// the live rows only; the column pass takes column f and its mirror -f
+/// together (forward, split, inverse down to the live rows); the inverse row
+/// pass covers the live rows again. Rows past the live ones are zero in every
+/// pass and are never stored, so a run holds rows x P complex cells
+/// (P = next_pow2(2 cols - 1)) plus four padded columns per column task.
+class FoldedAutocorrelation2D {
  public:
-  CrossCorrelator2D(std::size_t rows, std::size_t cols);
+  FoldedAutocorrelation2D(std::size_t rows, std::size_t cols);
 
-  std::size_t rows() const { return rows_; }
-  std::size_t cols() const { return cols_; }
-  /// Output dims: signed offsets dr in [-(rows-1), rows-1], dc likewise.
-  std::size_t out_rows() const { return 2 * rows_ - 1; }
-  std::size_t out_cols() const { return 2 * cols_ - 1; }
+  /// Bytes of the transform grid the object holds: rows x
+  /// next_pow2(2 cols - 1) complex cells.
+  static std::uint64_t grid_bytes(std::size_t rows, std::size_t cols);
 
-  /// Forward transform of a row-major rows x cols real grid, zero-padded to
-  /// the internal power-of-two dims.
-  std::vector<std::complex<double>> transform(const std::vector<double>& grid) const;
-
-  /// Cross-correlation from two forward transforms:
-  ///   out(dr, dc) = sum_{r,c} a(r, c) * b(r + dr, c + dc),
-  /// returned row-major on an out_rows() x out_cols() grid with (0, 0) at
-  /// index (rows()-1, cols()-1).
-  std::vector<double> correlate(const std::vector<std::complex<double>>& fa,
-                                const std::vector<std::complex<double>>& fb) const;
+  /// Folded autocorrelations of the row-major rows x cols grids `a` and `b`
+  /// into `out_a` and `out_b` (same shape; each output may be its input).
+  /// `b` and `out_b` may both be null (one grid). The row and column
+  /// transforms are spread over `pool`, and `run` is polled before each
+  /// task; the result is the same for every thread count.
+  void correlate(const double* a, const double* b, double* out_a, double* out_b,
+                 util::ThreadPool& pool, const util::RunControl* run = nullptr);
 
  private:
   std::size_t rows_, cols_;
   std::size_t pad_rows_, pad_cols_;
+  FftPlan col_plan_, row_plan_;
+  std::vector<std::complex<double>> grid_;  // rows_ x pad_cols_
 };
 
 }  // namespace rgleak::math

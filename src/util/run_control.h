@@ -16,8 +16,9 @@
 //    all observe the same verdict.
 //
 // Kernels poll at chunk granularity (a tile of the exact pairwise sum, one
-// FFT type-pair batch, one MC trial), so cancellation latency is bounded by
-// one chunk plus whatever delay a task injects (see the failpoint tests).
+// batch of FFT rows or columns, one MC trial), so cancellation latency is
+// bounded by one chunk plus whatever delay a task injects (see the failpoint
+// tests).
 
 #include <atomic>
 #include <chrono>

@@ -142,18 +142,6 @@ TEST(AnalyticRgCovariance, MonotoneAndBelowVariance) {
   EXPECT_LT(cov.covariance(1.0), cov.variance());
 }
 
-TEST(AnalyticRgCovariance, GridInterpolationAccurate) {
-  // A coarse grid must agree with a fine grid everywhere.
-  const auto comps = test_components();
-  const AnalyticRgCovariance coarse(comps, kMu, fixture_sigma(), 17);
-  const AnalyticRgCovariance fine(comps, kMu, fixture_sigma(), 257);
-  for (double rho = 0.0; rho <= 1.0; rho += 0.013) {
-    EXPECT_NEAR(coarse.covariance(rho), fine.covariance(rho),
-                2e-3 * fine.variance() + 1e-12)
-        << "rho=" << rho;
-  }
-}
-
 TEST(AnalyticRgCovariance, RequiresModels) {
   auto comps = test_components();
   comps[0].model.reset();

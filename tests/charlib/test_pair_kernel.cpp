@@ -101,8 +101,7 @@ TEST(PairKernel, MatchesGeneralRouteOnBenchFitsThroughDegenerateRho) {
 }
 
 TEST(PairKernel, MatchesCorrelatedFrameRouteOnTheRhoGrids) {
-  // The rho grids of AnalyticRgCovariance (65 points) and the exact
-  // estimator's pair grid (33 points) below rho = 1.
+  // A uniform grid of rho = k/64 below rho = 1.
   const Fits& f = bench_fits();
   for (std::size_t k = 0; k < 64; ++k) {
     const double rho = static_cast<double>(k) / 64.0;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
 
 #include "../test_util.h"
 #include "core/estimators.h"
@@ -116,6 +117,31 @@ TEST(ConnectivityEstimator, ExtremeInputProbabilitiesPruneStates) {
     const LeakageEstimate e = aware.estimate(nl, grid(8), p);
     EXPECT_GT(e.mean_na, 0.0);
     EXPECT_GT(e.sigma_na, 0.0);
+  }
+}
+
+TEST(ConnectivityEstimator, ConcurrentEstimatesAreSafe) {
+  // estimate() only reads the estimator (its per-state Hermite series are
+  // built in the constructor), so threads sharing a fresh estimator must
+  // reproduce the serial answers bit for bit (run under TSan via
+  // RGLEAK_SANITIZE=thread).
+  math::Rng rng(41);
+  const netlist::ConnectedNetlist nl =
+      netlist::generate_random_dag(mini_library(), usage(), 64, 4, rng);
+  const ConnectivityAwareEstimator serial(mini_chars_analytic(), CorrelationMode::kAnalytic);
+  const double probs[] = {0.5, 0.3};
+  const LeakageEstimate expected[] = {serial.estimate(nl, grid(8), probs[0]),
+                                      serial.estimate(nl, grid(8), probs[1])};
+
+  const ConnectivityAwareEstimator shared(mini_chars_analytic(), CorrelationMode::kAnalytic);
+  std::vector<LeakageEstimate> results(4);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < results.size(); ++i)
+    threads.emplace_back([&, i] { results[i] = shared.estimate(nl, grid(8), probs[i % 2]); });
+  for (auto& t : threads) t.join();
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    EXPECT_EQ(results[i].sigma_na, expected[i % 2].sigma_na) << i;
+    EXPECT_EQ(results[i].mean_na, expected[i % 2].mean_na) << i;
   }
 }
 

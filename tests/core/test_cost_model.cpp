@@ -156,8 +156,12 @@ TEST(CostModel, PeakRssCalibratesBytesWithoutABudgetPeak) {
 TEST(CostModel, ExactArenaFormulasArePinned) {
   EXPECT_EQ(CostModel::exact_direct_bytes(100, 10, 10), 3216u);
   EXPECT_EQ(CostModel::exact_direct_bytes(65536, 256, 256), 2105344u);
-  EXPECT_EQ(CostModel::exact_fft_bytes(8, 8, 2), 20232u);
-  EXPECT_EQ(CostModel::exact_fft_bytes(128, 128, 7), 11137032u);
+  // The FFT path holds one transform grid (live rows x padded columns,
+  // complex) and four per-offset tables, whatever the number of cell types.
+  EXPECT_EQ(CostModel::exact_fft_bytes(8, 8), 4096u);
+  EXPECT_EQ(CostModel::exact_fft_bytes(3, 7), 1440u);
+  EXPECT_EQ(CostModel::exact_fft_bytes(128, 128), 1048576u);
+  EXPECT_EQ(CostModel::exact_fft_bytes(256, 256), 4194304u);
 }
 
 TEST(CostModel, McWorkerArenaFormulaIsPinned) {

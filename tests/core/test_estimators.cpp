@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <thread>
 
 #include "../test_util.h"
 #include "math/stats.h"
 #include "netlist/random_circuit.h"
+#include "util/metrics.h"
 #include "util/require.h"
 
 namespace rgleak::core {
@@ -248,6 +250,54 @@ TEST(ExactEstimator, DeterministicAcrossThreadCounts) {
   }
 }
 
+TEST(ExactEstimator, FftTransformCountFollowsTheSeriesOrderNotTheTypeCount) {
+  // Two orders share one packed forward and one inverse transform, so an
+  // estimate runs 2 ceil(K / 2) transforms for the highest series order K of
+  // its placed types: ten types cost what their highest-order type alone
+  // costs.
+  const charlib::CharacterizedLibrary& chars = rgleak::testing::full_chars_analytic();
+  const double mu = chars.process().length().mean_nm;
+  const double sigma = chars.process().length().sigma_total_nm();
+  const auto type_order = [&](std::size_t t) {
+    const std::vector<double> probs = chars.state_probabilities(t, 0.5);
+    std::size_t order = 0;
+    for (std::size_t s = 0; s < probs.size(); ++s) {
+      const charlib::StateChar& st = chars.cell(t).states[s];
+      if (probs[s] != 0.0)
+        order = std::max(order, charlib::hermite_series(*st.model, st.mean_na, mu, sigma).order());
+    }
+    return order;
+  };
+  netlist::UsageHistogram usage;
+  usage.alphas.assign(chars.size(), 0.0);
+  std::size_t order = 0, top = 0;
+  for (std::size_t t = 0; t < 60; t += 6) {
+    usage.alphas[t] = 0.1;
+    if (type_order(t) > order) {
+      order = type_order(t);
+      top = t;
+    }
+  }
+  ASSERT_GE(order, 8u);
+  const std::uint64_t expected = 2 * ((order + 1) / 2);
+
+  util::metrics::Counter& transforms =
+      util::metrics::Registry::instance().counter("estimator.exact_fft_transforms");
+  const ExactEstimator est(chars, 0.5, CorrelationMode::kAnalytic);
+  const std::size_t side = 12;
+  math::Rng rng(83);
+  const netlist::Netlist mixed =
+      generate_random_circuit(chars.library(), usage, side * side, rng);
+  const std::vector<netlist::GateInstance> one(side * side, {top});
+  const netlist::Netlist single("single", &chars.library(), one);
+  for (const netlist::Netlist* nl : {&mixed, &single}) {
+    const placement::Placement pl(nl, grid(side, side));
+    const std::uint64_t before = transforms.value();
+    (void)est.estimate(pl, {ExactMethod::kFft, 2});
+    EXPECT_EQ(transforms.value() - before, expected) << nl->name() << ", K = " << order;
+  }
+}
+
 TEST(ExactEstimator, AutoSelectionMatchesExplicitMethods) {
   math::Rng rng(79);
   const netlist::Netlist nl = generate_random_circuit(mini_library(), test_usage(), 100, rng);
@@ -259,9 +309,9 @@ TEST(ExactEstimator, AutoSelectionMatchesExplicitMethods) {
 }
 
 TEST(ExactEstimator, ConcurrentEstimatesAreSafe) {
-  // Regression for the pair-grid lazy-init data race: a fresh analytic
-  // estimator hammered by concurrent estimate() calls must agree with the
-  // serial answer (run under TSan via RGLEAK_SANITIZE=thread).
+  // The estimator is immutable after construction: a fresh analytic
+  // estimator hammered by concurrent estimate() calls on both paths must
+  // agree with the serial answer (run under TSan via RGLEAK_SANITIZE=thread).
   math::Rng rng(81);
   const std::size_t side = 8;
   const netlist::Netlist nl =

@@ -6,6 +6,7 @@
 
 #include "math/rng.h"
 #include "util/require.h"
+#include "util/thread_pool.h"
 
 namespace rgleak::math {
 namespace {
@@ -203,48 +204,77 @@ TEST(FftPlan, PlanBytesCountsBothTables) {
 
 TEST(FftPlan, RejectsNonPow2) { EXPECT_THROW(FftPlan(6), ContractViolation); }
 
-TEST(CrossCorrelator2D, MatchesBruteForceOnRandomGrids) {
+// The folded autocorrelation by definition: sum of g(s) g(t) over ordered
+// site pairs at absolute offset (i, j).
+std::vector<double> brute_force_folded(const std::vector<double>& g, std::size_t rows,
+                                       std::size_t cols) {
+  std::vector<double> out(rows * cols, 0.0);
+  for (std::size_t s = 0; s < rows * cols; ++s)
+    for (std::size_t t = 0; t < rows * cols; ++t) {
+      const std::size_t i = s / cols > t / cols ? s / cols - t / cols : t / cols - s / cols;
+      const std::size_t j = s % cols > t % cols ? s % cols - t % cols : t % cols - s % cols;
+      out[i * cols + j] += g[s] * g[t];
+    }
+  return out;
+}
+
+TEST(FoldedAutocorrelation2D, MatchesBruteForceOnRandomGrids) {
+  // Square, oblong, odd, single-row, single-column and 1x1 grids; two grids
+  // packed in one transform and one grid alone; 1 and 3 threads give the
+  // same bits.
   Rng rng(7);
-  for (const auto [rows, cols] : {std::pair<std::size_t, std::size_t>{4, 4},
-                                  {3, 7},
-                                  {1, 5},
-                                  {6, 2}}) {
+  for (const auto& [rows, cols] : {std::pair<std::size_t, std::size_t>{4, 4},
+                                   {3, 7},
+                                   {1, 5},
+                                   {5, 1},
+                                   {1, 1},
+                                   {6, 2},
+                                   {9, 13},
+                                   {17, 6}}) {
     std::vector<double> a(rows * cols), b(rows * cols);
     for (auto& x : a) x = rng.normal();
-    for (auto& x : b) x = rng.normal();
-    const CrossCorrelator2D xc(rows, cols);
-    const std::vector<double> got = xc.correlate(xc.transform(a), xc.transform(b));
-    ASSERT_EQ(got.size(), (2 * rows - 1) * (2 * cols - 1));
-    for (std::ptrdiff_t dr = -(std::ptrdiff_t)(rows - 1); dr < (std::ptrdiff_t)rows; ++dr)
-      for (std::ptrdiff_t dc = -(std::ptrdiff_t)(cols - 1); dc < (std::ptrdiff_t)cols; ++dc) {
-        double want = 0.0;
-        for (std::size_t r = 0; r < rows; ++r)
-          for (std::size_t c = 0; c < cols; ++c) {
-            const std::ptrdiff_t r2 = (std::ptrdiff_t)r + dr, c2 = (std::ptrdiff_t)c + dc;
-            if (r2 < 0 || c2 >= (std::ptrdiff_t)cols || c2 < 0 ||
-                r2 >= (std::ptrdiff_t)rows)
-              continue;
-            want += a[r * cols + c] * b[(std::size_t)r2 * cols + (std::size_t)c2];
-          }
-        const std::size_t idx =
-            (std::size_t)(dr + (std::ptrdiff_t)rows - 1) * (2 * cols - 1) +
-            (std::size_t)(dc + (std::ptrdiff_t)cols - 1);
-        EXPECT_NEAR(got[idx], want, 1e-9) << rows << "x" << cols << " d=(" << dr << "," << dc
-                                          << ")";
-      }
+    for (auto& x : b) x = 0.01 * rng.normal();  // packed orders differ in scale
+    const std::vector<double> want_a = brute_force_folded(a, rows, cols);
+    const std::vector<double> want_b = brute_force_folded(b, rows, cols);
+    double scale_a = 0.0, scale_b = 0.0;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      scale_a += a[i] * a[i];
+      scale_b += b[i] * b[i];
+    }
+
+    FoldedAutocorrelation2D acf(rows, cols);
+    std::vector<double> ra(a.size()), rb(b.size()), alone(a.size());
+    acf.correlate(a.data(), b.data(), ra.data(), rb.data(), util::ThreadPool::shared(1));
+    acf.correlate(a.data(), nullptr, alone.data(), nullptr, util::ThreadPool::shared(1));
+    for (std::size_t o = 0; o < a.size(); ++o) {
+      EXPECT_NEAR(ra[o], want_a[o], 1e-12 * scale_a) << rows << "x" << cols << " offset " << o;
+      EXPECT_NEAR(rb[o], want_b[o], 1e-12 * scale_a) << rows << "x" << cols << " offset " << o;
+      EXPECT_NEAR(alone[o], want_a[o], 1e-12 * scale_a) << rows << "x" << cols << " offset " << o;
+    }
+    EXPECT_NEAR(rb[0], scale_b, 1e-12 * scale_a);
+
+    // In place, on three threads: the same bits.
+    std::vector<double> a3 = a, b3 = b;
+    acf.correlate(a3.data(), b3.data(), a3.data(), b3.data(), util::ThreadPool::shared(3));
+    for (std::size_t o = 0; o < a.size(); ++o) {
+      EXPECT_EQ(a3[o], ra[o]) << rows << "x" << cols << " offset " << o;
+      EXPECT_EQ(b3[o], rb[o]) << rows << "x" << cols << " offset " << o;
+    }
   }
 }
 
-TEST(CrossCorrelator2D, IndicatorGridCountsAreIntegers) {
-  // The estimator relies on indicator-grid correlations landing on integers
-  // to FFT precision.
-  const std::size_t rows = 8, cols = 8;
-  std::vector<double> occ(rows * cols, 0.0);
-  Rng rng(9);
-  for (std::size_t i = 0; i < occ.size(); ++i) occ[i] = rng.uniform() < 0.4 ? 1.0 : 0.0;
-  const CrossCorrelator2D xc(rows, cols);
-  const std::vector<double> counts = xc.correlate(xc.transform(occ), xc.transform(occ));
-  for (double c : counts) EXPECT_NEAR(c, std::round(c), 1e-7);
+TEST(FoldedAutocorrelation2D, GridBytesCountLiveRowsTimesPaddedColumns) {
+  EXPECT_EQ(FoldedAutocorrelation2D::grid_bytes(1, 1), 16u);
+  EXPECT_EQ(FoldedAutocorrelation2D::grid_bytes(3, 7), 3u * 16 * 16);
+  EXPECT_EQ(FoldedAutocorrelation2D::grid_bytes(256, 256), 256u * 512 * 16);
+}
+
+TEST(FoldedAutocorrelation2D, RejectsAnEmptyGridAndAHalfPair) {
+  EXPECT_THROW(FoldedAutocorrelation2D(0, 4), ContractViolation);
+  FoldedAutocorrelation2D acf(2, 2);
+  std::vector<double> a(4, 1.0), out(4);
+  EXPECT_THROW(acf.correlate(a.data(), a.data(), out.data(), nullptr, util::ThreadPool::shared(1)),
+               ContractViolation);
 }
 
 }  // namespace

@@ -74,7 +74,7 @@ TEST(RunControlConcurrent, CancellationLatencyBoundedDespiteDelayedTasks) {
 }
 
 TEST(RunControlConcurrent, ExactEstimatorDrainsWithinOneBatch) {
-  // 64x64 sites: the FFT path runs type-pair batches through the pool; a
+  // 64x64 sites: the FFT path runs row and column batches through the pool; a
   // pre-stopped control must cancel before any batch completes the job.
   math::Rng gen(31);
   const std::size_t rows = 64, cols = 64;

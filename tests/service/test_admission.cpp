@@ -123,7 +123,7 @@ TEST(AdmitMc, SingleWorkerMissIsTypedRejection) {
 TEST(CostModel, StructuralFormulasAreMonotonicInProblemSize) {
   using core::CostModel;
   EXPECT_LT(CostModel::exact_direct_bytes(100, 10, 10), CostModel::exact_direct_bytes(1000, 32, 32));
-  EXPECT_LT(CostModel::exact_fft_bytes(8, 8, 2), CostModel::exact_fft_bytes(32, 32, 2));
+  EXPECT_LT(CostModel::exact_fft_bytes(8, 8), CostModel::exact_fft_bytes(32, 32));
   EXPECT_LT(CostModel::mc_worker_bytes(16, 16, 8, 8, 100),
             CostModel::mc_worker_bytes(64, 64, 32, 32, 1000));
 }
