@@ -13,8 +13,7 @@
 // BENCH_full_chip_mc.json in addition to the stdout table. The JSON carries
 // the runner's CPU count (thread-scaling numbers are only meaningful
 // relative to it — a 1-CPU container cannot show wall-clock speedup) plus
-// each record's peak RSS and MemoryBudget high-water mark, which
-// `rgleak batch --mem-model` reads to calibrate admission control.
+// each record's peak RSS and MemoryBudget high-water mark.
 //
 // `bench_full_chip_mc --smoke` runs a tiny CI-sized configuration and exits
 // non-zero if threaded throughput falls below serial — the regression guard
@@ -63,8 +62,7 @@ struct McRecord {
   /// Wall-clock overhead vs. the matching baseline config, in percent.
   double overhead_pct = 0.0;
   /// Process peak RSS (KiB) and MemoryBudget high-water mark (bytes) when
-  /// the record was taken. Both are process-lifetime monotone; `--mem-model`
-  /// calibration reads the largest per-site coefficient, so that is fine.
+  /// the record was taken. Both are process-lifetime monotone.
   double peak_rss_kb = 0.0;
   std::uint64_t budget_peak_bytes = 0;
 };

@@ -8,8 +8,9 @@
 // records the exact-estimator perf trajectory to BENCH_exact_estimator.json:
 // the host's CPU count, then per (sites, method) the best wall time of N
 // runs with the median and worst beside it, the speedup vs the serial direct
-// baseline, peak RSS, and the per-method MemoryBudget high-water mark used by
-// `rgleak batch --mem-model`.
+// baseline, peak RSS, and the per-method MemoryBudget high-water mark (the
+// arena the method reserves). `rgleak netlist --cost-model` calibrates its
+// time laws from these records.
 
 #include <benchmark/benchmark.h>
 
@@ -171,7 +172,7 @@ int exact_bench_json(const std::string& path) {
 
     // reset_peak between methods: the exact estimators release their arena
     // charges after each run, so the per-method high-water mark isolates
-    // that method's footprint for --mem-model calibration.
+    // that method's footprint.
     auto& budget = util::MemoryBudget::process();
     core::LeakageEstimate serial, parallel, fft;
     budget.reset_peak();

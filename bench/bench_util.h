@@ -59,7 +59,7 @@ inline const charlib::CharacterizedLibrary& chars_mc() {
 
 /// Peak resident set size of this process in KiB (0 where unavailable).
 /// Monotone over the process lifetime — per-record deltas are not meaningful,
-/// but the high-water mark is exactly what memory-model calibration wants.
+/// only the high-water mark.
 inline double peak_rss_kb() {
 #if defined(_WIN32)
   return 0.0;
@@ -71,9 +71,10 @@ inline double peak_rss_kb() {
 }
 
 /// High-water mark of bytes charged against the process MemoryBudget by the
-/// tracked arenas (FFT plans, sampler caches, MC worker workspaces). With no
-/// limit set, charging is pure bookkeeping — this is the number
-/// CostModel::from_bench_json calibrates admission control from.
+/// tracked arenas (the exact estimators' tables and transform grid, the MC
+/// workers' sampler copies and workspaces). With no limit set, charging is
+/// pure bookkeeping: the record shows what admission would price the run at
+/// (core/cost_model.h's arena formulas).
 inline std::uint64_t budget_peak_bytes() {
   return util::MemoryBudget::process().peak();
 }

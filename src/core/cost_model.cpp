@@ -5,6 +5,7 @@
 #include <complex>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <sstream>
 
 #include "math/fft.h"
@@ -36,61 +37,35 @@ void CostModel::Law::calibrate(std::size_t sites, double measured) {
 }
 
 CostModel CostModel::defaults() {
-  // Time: commodity-core magnitudes. The integral rungs are one radial
-  // quadrature each: bench_scaling's BM_IntegralRect/BM_IntegralPolar read
-  // 0.05-0.15 ms per call from 8x8 to 2048x2048 sites on a 4-CPU 2 GHz host,
-  // and other kernels (spherical, Gaussian, 3:1 anisotropic, 0.5 mm
-  // exponential) stay under 0.2 ms, so their 1 ms constant is pessimistic by
-  // 5x or more.
-  // Bytes: rounded up hard. The FFT rung's linear coefficient must absorb the
-  // worst-case power-of-two padding (up to ~16x the site count in padded
-  // cells) times 16-byte complex cells times a few live buffers; MC likewise
-  // carries padded sampler grids per worker.
+  // Commodity-core magnitudes. The integral rungs are one radial quadrature
+  // each: bench_scaling's BM_IntegralRect/BM_IntegralPolar read 0.05-0.15 ms
+  // per call from 8x8 to 2048x2048 sites on a 4-CPU 2 GHz host, and other
+  // kernels (spherical, Gaussian, 3:1 anisotropic, 0.5 mm exponential) stay
+  // under 0.2 ms, so their 1 ms constant is pessimistic by 5x or more.
   using B = Law::Basis;
   CostModel m;
-  m.rungs_["exact_direct"] = {Law{B::kQuadratic, 5e-5}, Law{B::kLinear, 256.0}};
-  m.rungs_["exact_fft"] = {Law{B::kNLogN, 5e-3}, Law{B::kLinear, 8192.0}};
-  m.rungs_["linear"] = {Law{B::kLinear, 2e-3}, Law{B::kConstant, 64 << 10}};
-  m.rungs_["integral_rect"] = {Law{B::kConstant, 1.0}, Law{B::kConstant, 32 << 10}};
-  m.rungs_["integral_polar"] = {Law{B::kConstant, 1.0}, Law{B::kConstant, 32 << 10}};
-  m.rungs_["mc"] = {std::nullopt, Law{B::kLinear, 4096.0}};
+  m.laws_["exact_direct"] = Law{B::kQuadratic, 5e-5};
+  m.laws_["exact_fft"] = Law{B::kNLogN, 5e-3};
+  m.laws_["linear"] = Law{B::kLinear, 2e-3};
+  m.laws_["integral_rect"] = Law{B::kConstant, 1.0};
+  m.laws_["integral_polar"] = Law{B::kConstant, 1.0};
   return m;
 }
 
-CostModel::Rung* CostModel::calibrated_rung(const std::string& method) {
+void CostModel::calibrate_ms(const std::string& method, std::size_t sites, double wall_ms) {
   // Bench records name the exact paths by implementation; fold them onto the
   // rung they predict. The serial direct row is a baseline, not a rung.
-  if (method == "direct_serial") return nullptr;
+  if (method == "direct_serial") return;
   const std::string rung = method == "direct_parallel" ? "exact_direct"
                            : method == "fft"           ? "exact_fft"
                                                        : method;
-  const auto it = rungs_.find(rung);
-  return it == rungs_.end() ? nullptr : &it->second;
-}
-
-void CostModel::calibrate_ms(const std::string& method, std::size_t sites, double wall_ms) {
-  Rung* rung = calibrated_rung(method);
-  if (rung != nullptr && rung->ms) rung->ms->calibrate(sites, wall_ms);
-}
-
-void CostModel::calibrate_bytes(const std::string& method, std::size_t sites,
-                                std::uint64_t bytes) {
-  Rung* rung = calibrated_rung(method);
-  if (rung != nullptr) rung->bytes.calibrate(sites, static_cast<double>(bytes));
+  const auto it = laws_.find(rung);
+  if (it != laws_.end()) it->second.calibrate(sites, wall_ms);
 }
 
 double CostModel::predict_ms(const std::string& method, std::size_t sites) const {
-  const auto it = rungs_.find(method);
-  if (it == rungs_.end() || !it->second.ms) return std::numeric_limits<double>::infinity();
-  return it->second.ms->predict(sites);
-}
-
-std::uint64_t CostModel::predict_bytes(const std::string& method, std::size_t sites) const {
-  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
-  const auto it = rungs_.find(method);
-  if (it == rungs_.end()) return kMax;
-  const double bytes = it->second.bytes.predict(sites);
-  return bytes < 0x1p64 ? static_cast<std::uint64_t>(bytes) : kMax;
+  const auto it = laws_.find(method);
+  return it == laws_.end() ? std::numeric_limits<double>::infinity() : it->second.predict(sites);
 }
 
 std::uint64_t CostModel::exact_direct_bytes(std::size_t gates, std::size_t rows,
@@ -202,15 +177,7 @@ CostModel CostModel::from_bench_json(const std::string& path) {
     const std::optional<double> wall_ms = rec.number("wall_ms");
     if (!method || !sites || !wall_ms)
       rec.fail("record needs \"sites\", \"method\", and \"wall_ms\" fields");
-    const std::optional<double> peak_bytes = rec.number("budget_peak_bytes", 0x1p64);
-    const std::optional<double> rss_kb = rec.number("peak_rss_kb", 0x1p54);  // bytes < 2^64
-
-    const auto n = static_cast<std::size_t>(*sites);
-    model.calibrate_ms(*method, n, *wall_ms);
-    if (peak_bytes && *peak_bytes > 0.0)
-      model.calibrate_bytes(*method, n, static_cast<std::uint64_t>(*peak_bytes));
-    else if (rss_kb && *rss_kb > 0.0)
-      model.calibrate_bytes(*method, n, static_cast<std::uint64_t>(*rss_kb) * 1024);
+    model.calibrate_ms(*method, static_cast<std::size_t>(*sites), *wall_ms);
     ++parsed;
     pos = close + 1;
   }

@@ -196,14 +196,15 @@ std::vector<double> ExactEstimator::offset_rho(const placement::Floorplan& fp) c
   return rho;
 }
 
+ExactMethod resolve_exact_method(ExactMethod method, std::size_t sites) {
+  if (method != ExactMethod::kAuto) return method;
+  return sites >= 64 ? ExactMethod::kFft : ExactMethod::kDirect;
+}
+
 LeakageEstimate ExactEstimator::estimate(const placement::Placement& placement,
                                          const ExactOptions& options) const {
-  ExactMethod method = options.method;
-  if (method == ExactMethod::kAuto) {
-    // The FFT transform wins everywhere except grids so small the padding
-    // overhead dominates.
-    method = placement.floorplan().num_sites() >= 64 ? ExactMethod::kFft : ExactMethod::kDirect;
-  }
+  const ExactMethod method =
+      resolve_exact_method(options.method, placement.floorplan().num_sites());
   util::ThreadPool& pool =
       options.pool ? *options.pool : util::ThreadPool::shared(options.threads);
   try {

@@ -73,6 +73,11 @@ enum class ExactMethod {
   kFft,     ///< O(K n log n) FFT offset sums, K series orders.
 };
 
+/// The path `method` runs on a grid of `sites` sites: kAuto is the FFT
+/// transform, which wins everywhere except on grids under 64 sites, where its
+/// padding overhead dominates. Every caller resolves kAuto here.
+ExactMethod resolve_exact_method(ExactMethod method, std::size_t sites);
+
 struct ExactOptions {
   ExactMethod method = ExactMethod::kAuto;
   /// Worker threads; 0 = hardware concurrency. Results are identical for

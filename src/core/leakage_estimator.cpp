@@ -9,16 +9,6 @@ namespace rgleak::core {
 
 namespace {
 
-const char* rung_name(EstimationMethod m) {
-  switch (m) {
-    case EstimationMethod::kLinear: return "linear";
-    case EstimationMethod::kIntegralRect: return "integral_rect";
-    case EstimationMethod::kIntegralPolar: return "integral_polar";
-    case EstimationMethod::kAuto: break;
-  }
-  return "integral_polar";
-}
-
 std::string over_budget_note(const char* rung, double predicted_ms, double remaining_ms) {
   std::ostringstream os;
   os.precision(1);
@@ -27,22 +17,31 @@ std::string over_budget_note(const char* rung, double predicted_ms, double remai
   return os.str();
 }
 
-std::string cancelled_note(const char* rung) {
-  return std::string(rung) + " cancelled at deadline (cost misprediction)";
-}
-
-// A rung cancelled by the *budget deadline* degrades to the next rung; a rung
-// cancelled by an *external stop* (SIGINT, a batch shutdown forwarded through
-// the parent link) must propagate — the caller wants out, not a cheaper
-// answer.
-void rethrow_if_external(const util::RunControl& run) {
-  if (run.reason() == util::StopReason::kCancelled) throw;
-}
-
 // Appends `next` to a semicolon-joined degradation trail.
 void append_note(std::string* trail, const std::string& next) {
   if (!trail->empty()) *trail += "; ";
   *trail += next;
+}
+
+// The next rung down the ladder.
+Rung below(Rung rung) { return static_cast<Rung>(static_cast<int>(rung) + 1); }
+
+LeakageEstimate run_rung(const Ladder& ladder, Rung rung, const util::RunControl* run) {
+  switch (rung) {
+    case Rung::kExactFft:
+    case Rung::kExactDirect: {
+      RGLEAK_REQUIRE(ladder.exact != nullptr && ladder.placement != nullptr,
+                     "an exact rung needs a placed design");
+      ExactOptions opts = ladder.exact_options;
+      opts.method = rung == Rung::kExactFft ? ExactMethod::kFft : ExactMethod::kDirect;
+      opts.run = run;
+      return ladder.exact->estimate(*ladder.placement, opts);
+    }
+    case Rung::kLinear: return estimate_linear(ladder.rg, ladder.fp, run);
+    case Rung::kIntegralRect: return estimate_integral_rect(ladder.rg, ladder.fp);
+    case Rung::kIntegralPolar: break;
+  }
+  return estimate_integral_polar(ladder.rg, ladder.fp);
 }
 
 }  // namespace
@@ -83,70 +82,98 @@ LeakageEstimate LeakageEstimator::estimate(const DesignCharacteristics& design) 
   const placement::Floorplan fp = floorplan_for_design(design);
   const RandomGate rg = make_random_gate(design.usage);
 
-  EstimationMethod method = config_.method;
-  if (method == EstimationMethod::kAuto)
-    method = design.gate_count <= 10000 ? EstimationMethod::kLinear
-                                        : EstimationMethod::kIntegralPolar;
-
-  LeakageEstimate e;
-  if (config_.time_budget_s > 0.0) {
-    e = estimate_budgeted(fp, rg, method);
-  } else {
-    switch (method) {
-      case EstimationMethod::kLinear:
-        e = estimate_linear(rg, fp, config_.run);
-        break;
-      case EstimationMethod::kIntegralRect:
-        e = estimate_integral_rect(rg, fp);
-        break;
-      case EstimationMethod::kIntegralPolar:
-      case EstimationMethod::kAuto:
-        e = estimate_integral_polar(rg, fp);
-        break;
-    }
+  Rung rung = Rung::kIntegralPolar;
+  switch (config_.method) {
+    case EstimationMethod::kLinear: rung = Rung::kLinear; break;
+    case EstimationMethod::kIntegralRect: rung = Rung::kIntegralRect; break;
+    case EstimationMethod::kIntegralPolar: break;
+    case EstimationMethod::kAuto:
+      if (design.gate_count <= 10000) rung = Rung::kLinear;
+      break;
   }
+  LeakageEstimate e = walk_ladder({.rg = rg,
+                                   .fp = fp,
+                                   .time_budget_s = config_.time_budget_s,
+                                   .costs = &config_.cost_model,
+                                   .run = config_.run},
+                                  rung);
   if (config_.apply_vt_mean_factor)
     e.mean_na *= vt_mean_factor(chars_->process().vt(), chars_->library().tech());
   return e;
 }
 
-LeakageEstimate LeakageEstimator::estimate_budgeted(const placement::Floorplan& fp,
-                                                    const RandomGate& rg,
-                                                    EstimationMethod requested) const {
-  util::RunControl run;
-  run.set_parent(config_.run);
-  run.arm_budget(config_.time_budget_s);
-  const std::size_t sites = fp.num_sites();
-  const CostModel& costs = config_.cost_model;
-  std::string trail;
+const char* rung_name(Rung rung) {
+  switch (rung) {
+    case Rung::kExactFft: return "exact_fft";
+    case Rung::kExactDirect: return "exact_direct";
+    case Rung::kLinear: return "linear";
+    case Rung::kIntegralRect: return "integral_rect";
+    case Rung::kIntegralPolar: break;
+  }
+  return "integral_polar";
+}
 
-  // Rung 1: the requested method, if the model says it fits what is left.
-  if (requested == EstimationMethod::kLinear) {
-    const char* rung = rung_name(requested);
-    const double predicted_ms = costs.predict_ms(rung, sites);
-    const double remaining_ms = run.remaining_s() * 1e3;
-    if (predicted_ms <= remaining_ms) {
-      try {
-        LeakageEstimate e = estimate_linear(rg, fp, &run);
-        e.degradation = trail;
-        return e;
-      } catch (const DeadlineExceeded&) {
-        rethrow_if_external(run);
-        append_note(&trail, cancelled_note(rung));
+Rung exact_rung(ExactMethod method, const placement::Floorplan& fp) {
+  return resolve_exact_method(method, fp.num_sites()) == ExactMethod::kFft ? Rung::kExactFft
+                                                                           : Rung::kExactDirect;
+}
+
+std::uint64_t rung_bytes(Rung rung, std::size_t gates, const placement::Floorplan& fp) {
+  if (rung == Rung::kExactFft) return CostModel::exact_fft_bytes(fp.rows, fp.cols);
+  if (rung == Rung::kExactDirect) return CostModel::exact_direct_bytes(gates, fp.rows, fp.cols);
+  return 0;
+}
+
+LeakageEstimate walk_ladder(const Ladder& ladder, Rung requested) {
+  const bool timed = ladder.time_budget_s > 0.0;
+  if (!timed && ladder.mem_budget_bytes == 0) return run_rung(ladder, requested, ladder.run);
+
+  // Memory: enter at the first rung whose arena fits. The arenas shrink down
+  // the ladder, and eq. (17) and the integrals reserve nothing.
+  const std::size_t gates = ladder.placement != nullptr ? ladder.placement->netlist().size() : 0;
+  Rung first = requested;
+  while (ladder.mem_budget_bytes > 0 &&
+         rung_bytes(first, gates, ladder.fp) > ladder.mem_budget_bytes)
+    first = below(first);
+  std::string trail;
+  if (first != requested)
+    trail = std::string("mem: ") + rung_name(requested) + "->" + rung_name(first);
+
+  // Time: skip a rung predicted over what is left of the budget, and cancel
+  // one that overruns its prediction at the armed deadline.
+  util::RunControl run;
+  run.set_parent(ladder.run);
+  if (timed) run.arm_budget(ladder.time_budget_s);
+  static const CostModel kDefaultCosts = CostModel::defaults();
+  const CostModel& costs = ladder.costs != nullptr ? *ladder.costs : kDefaultCosts;
+  for (Rung rung = first; rung <= Rung::kLinear; rung = below(rung)) {
+    const char* name = rung_name(rung);
+    if (timed) {
+      const double predicted_ms = costs.predict_ms(name, ladder.fp.num_sites());
+      const double remaining_ms = run.remaining_s() * 1e3;
+      if (predicted_ms > remaining_ms) {
+        append_note(&trail, over_budget_note(name, predicted_ms, remaining_ms));
+        continue;
       }
-    } else {
-      append_note(&trail, over_budget_note(rung, predicted_ms, remaining_ms));
     }
-    requested = EstimationMethod::kIntegralPolar;
+    try {
+      LeakageEstimate e = run_rung(ladder, rung, &run);
+      e.degradation = trail;
+      return e;
+    } catch (const DeadlineExceeded&) {
+      // The budget's deadline degrades to the next rung. An external stop
+      // (SIGINT, a batch shutdown forwarded through the parent link), or any
+      // stop of an untimed walk, propagates: the caller wants out, not a
+      // cheaper answer.
+      if (!timed || run.reason() == util::StopReason::kCancelled) throw;
+      append_note(&trail, std::string(name) + " cancelled at deadline (cost misprediction)");
+    }
   }
 
-  // Rung 2: the O(1) integral forms always answer, even past the deadline —
-  // the caller asked for *an* estimate, and these cost microseconds. Rect is
-  // honored when explicitly requested; otherwise polar (which itself falls
-  // back to rect when its validity condition fails).
-  LeakageEstimate e = requested == EstimationMethod::kIntegralRect
-                          ? estimate_integral_rect(rg, fp)
-                          : estimate_integral_polar(rg, fp);
+  // The O(1) integral floor costs microseconds: it answers even past the
+  // deadline, since the caller asked for *an* estimate.
+  LeakageEstimate e = run_rung(
+      ladder, requested == Rung::kIntegralRect ? Rung::kIntegralRect : Rung::kIntegralPolar, &run);
   e.degradation = trail;
   return e;
 }
@@ -156,59 +183,16 @@ LeakageEstimate estimate_placed_budgeted(const ExactEstimator& exact, const Rand
                                          const CostModel& costs, ExactOptions opts,
                                          const util::RunControl* parent) {
   RGLEAK_REQUIRE(budget_s > 0.0, "budgeted estimate needs a positive time budget");
-  util::RunControl run;
-  run.set_parent(parent);
-  run.arm_budget(budget_s);
   const placement::Floorplan& fp = placement.floorplan();
-  const std::size_t sites = fp.num_sites();
-  std::string trail;
-
-  // Rung 1: exact pairwise analysis (eq. 14/15).
-  ExactMethod method = opts.method;
-  if (method == ExactMethod::kAuto)
-    method = sites >= 64 ? ExactMethod::kFft : ExactMethod::kDirect;
-  const char* exact_rung = method == ExactMethod::kFft ? "exact_fft" : "exact_direct";
-  {
-    const double predicted_ms = costs.predict_ms(exact_rung, sites);
-    const double remaining_ms = run.remaining_s() * 1e3;
-    if (predicted_ms <= remaining_ms) {
-      try {
-        opts.run = &run;
-        LeakageEstimate e = exact.estimate(placement, opts);
-        e.degradation = trail;
-        return e;
-      } catch (const DeadlineExceeded&) {
-        rethrow_if_external(run);
-        append_note(&trail, cancelled_note(exact_rung));
-      }
-    } else {
-      append_note(&trail, over_budget_note(exact_rung, predicted_ms, remaining_ms));
-    }
-  }
-
-  // Rung 2: distance histogram (eq. 17).
-  {
-    const double predicted_ms = costs.predict_ms("linear", sites);
-    const double remaining_ms = run.remaining_s() * 1e3;
-    if (predicted_ms <= remaining_ms) {
-      try {
-        LeakageEstimate e = estimate_linear(rg, fp, &run);
-        e.degradation = trail;
-        return e;
-      } catch (const DeadlineExceeded&) {
-        rethrow_if_external(run);
-        append_note(&trail, cancelled_note("linear"));
-      }
-    } else {
-      append_note(&trail, over_budget_note("linear", predicted_ms, remaining_ms));
-    }
-  }
-
-  // Rung 3: the O(1) integral (eqs. 25/26, rect fallback inside) always
-  // answers.
-  LeakageEstimate e = estimate_integral_polar(rg, fp);
-  e.degradation = trail;
-  return e;
+  return walk_ladder({.rg = rg,
+                      .fp = fp,
+                      .exact = &exact,
+                      .placement = &placement,
+                      .exact_options = opts,
+                      .time_budget_s = budget_s,
+                      .costs = &costs,
+                      .run = parent},
+                     exact_rung(opts.method, fp));
 }
 
 }  // namespace rgleak::core

@@ -6,7 +6,7 @@
 // estimator.
 
 #include <cstddef>
-#include <optional>
+#include <cstdint>
 
 #include "core/cost_model.h"
 #include "core/estimate.h"
@@ -44,17 +44,17 @@ struct EstimatorConfig {
   /// Apply the random-Vt multiplicative mean correction.
   bool apply_vt_mean_factor = true;
   /// Wall-clock budget for one estimate() call, seconds; 0 = unlimited. With
-  /// a budget set, the estimator walks the accuracy ladder downward
-  /// (linear, eq. 17 → integral, eqs. 20/25) whenever `cost_model` predicts
-  /// the requested rung would blow the budget — and a mispredicted rung is
-  /// cancelled by the armed deadline and answered by the next one. The
-  /// result records the rung that answered and why it degraded.
+  /// a budget set, estimate() walks the ladder (walk_ladder) from the
+  /// requested rung: linear (eq. 17) steps down to the integral (eqs. 20/25)
+  /// when `cost_model` predicts it would blow the budget, or when the armed
+  /// deadline cancels it. The result records the rung that answered and why
+  /// it degraded.
   double time_budget_s = 0.0;
   /// Cost model behind the budget decisions; calibrate from a bench record
   /// via CostModel::from_bench_json to pin it to the host.
   CostModel cost_model = CostModel::defaults();
   /// External stop source (SIGINT handler, batch watchdog): polled by the
-  /// linear rung, and linked as the parent of the budgeted path's internal
+  /// linear rung, and linked as the parent of the ladder's internal
   /// deadline, so an outer cancellation stops an estimate mid-rung.
   const util::RunControl* run = nullptr;
 };
@@ -82,21 +82,62 @@ class LeakageEstimator {
  private:
   const charlib::CharacterizedLibrary* chars_;
   EstimatorConfig config_;
-
-  LeakageEstimate estimate_budgeted(const placement::Floorplan& fp, const RandomGate& rg,
-                                    EstimationMethod requested) const;
 };
 
-/// Budgeted estimate of a *placed* design: the full degradation ladder of the
-/// paper. Runs the exact pairwise analysis (eq. 14/15, FFT or direct per
-/// `opts`) when the cost model predicts it fits `budget_s`, else falls back
-/// to the distance histogram (eq. 17), else to the integral forms
-/// (eqs. 20/25). A rung that overruns its prediction is cancelled by the
-/// armed deadline and the next rung answers; the last rung (O(1) integral)
-/// always answers. The result names the rung and the degradation reason.
-/// `parent`, when given, is linked as the parent of the ladder's internal
-/// deadline control, so an external stop (SIGINT, a batch watchdog) cancels
-/// the running rung; the ladder still answers with the O(1) integral.
+/// A rung of the paper's accuracy-vs-cost ladder, most accurate first: the
+/// exact pairwise sum (eqs. 14/15) by FFT offset sums or directly, the
+/// distance histogram (eq. 17), and the O(1) integral floor (eq. 20, or
+/// eqs. 25/26).
+enum class Rung { kExactFft, kExactDirect, kLinear, kIntegralRect, kIntegralPolar };
+
+/// The rung's name in LeakageEstimate::method and in the CostModel.
+const char* rung_name(Rung rung);
+
+/// The exact rung `method` runs on `fp` (resolve_exact_method).
+Rung exact_rung(ExactMethod method, const placement::Floorplan& fp);
+
+/// Bytes `rung` reserves against the process MemoryBudget for `gates` gates
+/// placed on `fp`: the exact rungs' arenas (CostModel::exact_fft_bytes,
+/// exact_direct_bytes). eq. (17) and the integrals reserve nothing.
+std::uint64_t rung_bytes(Rung rung, std::size_t gates, const placement::Floorplan& fp);
+
+/// One design on the ladder, and what a walk down it may spend.
+struct Ladder {
+  const RandomGate& rg;
+  const placement::Floorplan& fp;
+  /// The exact rungs' estimator and placed design, and their threads or pool
+  /// (the walk sets method and run control). Null for an unplaced design,
+  /// whose walk starts at linear or below.
+  const ExactEstimator* exact = nullptr;
+  const placement::Placement* placement = nullptr;
+  ExactOptions exact_options = {};
+  /// Wall-clock seconds for the whole walk; 0 = unlimited.
+  double time_budget_s = 0.0;
+  /// Bytes one rung may reserve (rung_bytes); 0 = unlimited.
+  std::uint64_t mem_budget_bytes = 0;
+  /// Time laws behind the time-budget decisions; null = CostModel::defaults().
+  const CostModel* costs = nullptr;
+  /// External stop source (SIGINT, a batch watchdog): polled by the running
+  /// rung and linked as the parent of the walk's deadline, so an outer
+  /// cancellation propagates instead of degrading.
+  const util::RunControl* run = nullptr;
+};
+
+/// The one walk down the ladder, from `requested` through exact_fft ->
+/// exact_direct -> linear -> the integral floor (rect when requested, else
+/// polar). A rung is skipped when its arena is over the memory budget (noted
+/// "mem: <requested>-><rung>" at the first rung that fits) or its predicted
+/// time is over what is left of the time budget; a rung that overruns its
+/// prediction is cancelled at the armed deadline. The next rung answers, and
+/// the integral floor always answers, even past the deadline. The result
+/// names the rung that answered; its degradation is the "; "-joined trail of
+/// skips and cancellations. With neither budget set the requested rung runs
+/// directly.
+LeakageEstimate walk_ladder(const Ladder& ladder, Rung requested);
+
+/// Budgeted estimate of a *placed* design: walk_ladder from the exact rung
+/// `opts.method` names, under `budget_s` seconds and the `costs` time laws.
+/// `parent`, when given, is the external stop source (Ladder::run).
 LeakageEstimate estimate_placed_budgeted(const ExactEstimator& exact, const RandomGate& rg,
                                          const placement::Placement& placement, double budget_s,
                                          const CostModel& costs, ExactOptions opts = {},

@@ -295,21 +295,34 @@ FullChipMcResult FullChipMonteCarlo::run() {
   }
 }
 
+std::uint64_t FullChipMonteCarlo::arena_bytes(const placement::Placement& placement,
+                                              const charlib::CharacterizedLibrary& chars,
+                                              std::size_t trials, std::size_t threads) {
+  // The padded grid the constructor's field sampler chooses for these inputs.
+  const placement::Floorplan& fp = placement.floorplan();
+  const process::ProcessVariation& pv = chars.process();
+  const double range_nm = pv.wid_correlation().range_nm();
+  const std::size_t padded_rows = process::GridFieldSampler::padded_dim(
+      fp.rows, fp.site_h_nm, pv.anisotropy().scale_y, range_nm);
+  const std::size_t padded_cols = process::GridFieldSampler::padded_dim(
+      fp.cols, fp.site_w_nm, pv.anisotropy().scale_x, range_nm);
+  return threads * core::CostModel::mc_worker_bytes(padded_rows, padded_cols, fp.rows, fp.cols,
+                                                    placement.netlist().size()) +
+         std::uint64_t{trials} * sizeof(double);
+}
+
 FullChipMcResult FullChipMonteCarlo::run_with_threads(std::size_t threads) {
   const util::RunControl* rc = options_.run;
 
   // Charge the per-worker arenas (sampler copy + FFT workspace + WID field
   // and table ids) and the sample slices against the process memory budget up
   // front; the reservation lives until run() returns. This is the tracked
-  // backstop behind the admission layer's preflight — if the budget cannot
-  // take it, the job fails typed here instead of OOM-killing the process.
+  // backstop behind batch admission, which prices the run with the same
+  // arena_bytes — if the budget cannot take it, the job fails typed here
+  // instead of OOM-killing the process.
   RGLEAK_FAILPOINT("mc.workspace.alloc");
   const util::MemoryReservation arena(
-      threads * core::CostModel::mc_worker_bytes(field_.padded_rows(), field_.padded_cols(),
-                                                 field_.rows(), field_.cols(),
-                                                 placement_->netlist().size()) +
-          std::uint64_t{options_.trials} * sizeof(double),
-      "mc.workspace");
+      arena_bytes(*placement_, *chars_, options_.trials, threads), "mc.workspace");
 
   // Each worker gets its own RNG stream, field-sampler copy (the sampler
   // caches the second field of each FFT, and that cache must live as long as

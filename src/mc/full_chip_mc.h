@@ -103,6 +103,14 @@ class FullChipMonteCarlo {
 
   FullChipMcResult run();
 
+  /// Bytes run() reserves against the process MemoryBudget with `threads`
+  /// workers: each worker's core::CostModel::mc_worker_bytes on the field
+  /// sampler's padded grid, plus one double per trial. Computed from the
+  /// inputs alone, so batch admission prices an MC run before building it.
+  static std::uint64_t arena_bytes(const placement::Placement& placement,
+                                   const charlib::CharacterizedLibrary& chars, std::size_t trials,
+                                   std::size_t threads);
+
   /// Total-leakage sample for one process draw (exposed for tests); uses the
   /// engine's own workspace — allocation-free once warm.
   double sample_total_na(math::Rng& rng);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
-#include <limits>
 #include <sstream>
 
 #include "math/fft.h"
@@ -12,8 +11,13 @@
 
 namespace rgleak::process {
 
-std::size_t GridFieldSampler::padded_dim(std::size_t n, double pitch_nm, double range_nm) {
-  const double range_sites = range_nm / pitch_nm;
+std::size_t GridFieldSampler::padded_dim(std::size_t n, double pitch_nm, double scale,
+                                         double range_nm) {
+  // Checked first: the members sized from it are built before the
+  // constructor body runs. rho is evaluated at hypot(dx/ax, dy/ay).
+  RGLEAK_REQUIRE(pitch_nm > 0.0, "site pitch must be positive");
+  RGLEAK_REQUIRE(scale > 0.0, "anisotropy scales must be positive");
+  const double range_sites = range_nm / (pitch_nm / scale);
   const double want =
       static_cast<double>(n) + std::min(range_sites, 4.0 * static_cast<double>(n));
   return math::next_pow2(std::max<std::size_t>(static_cast<std::size_t>(std::ceil(want)), 2));
@@ -23,19 +27,6 @@ std::size_t GridFieldSampler::footprint_bytes() const {
   return sqrt_eig_.capacity() * sizeof(double) + cached_.capacity() * sizeof(double) +
          col_fft_.plan_bytes() + row_fft_.plan_bytes();
 }
-
-namespace {
-
-/// padded_dim() along one axis at the anisotropy-scaled pitch (rho is
-/// evaluated at hypot(dx/ax, dy/ay)). Checks pitch and scale first: the
-/// members sized from it are built before the constructor body runs.
-std::size_t axis_padding(std::size_t n, double pitch_nm, double scale, double range_nm) {
-  RGLEAK_REQUIRE(pitch_nm > 0.0, "site pitch must be positive");
-  RGLEAK_REQUIRE(scale > 0.0, "anisotropy scales must be positive");
-  return GridFieldSampler::padded_dim(n, pitch_nm / scale, range_nm);
-}
-
-}  // namespace
 
 // Periodic embedding (powers of two for the FFT). The embedding is exact
 // when the padded half-domain exceeds the kernel range (no wrap-around
@@ -47,8 +38,8 @@ GridFieldSampler::GridFieldSampler(std::size_t rows, std::size_t cols, double dx
                                    CorrelationAnisotropy anisotropy)
     : rows_(rows),
       cols_(cols),
-      prow_(axis_padding(rows, dy_nm, anisotropy.scale_y, rho.range_nm())),
-      pcol_(axis_padding(cols, dx_nm, anisotropy.scale_x, rho.range_nm())),
+      prow_(padded_dim(rows, dy_nm, anisotropy.scale_y, rho.range_nm())),
+      pcol_(padded_dim(cols, dx_nm, anisotropy.scale_x, rho.range_nm())),
       col_fft_(prow_),
       row_fft_(pcol_) {
   RGLEAK_REQUIRE(rows >= 1 && cols >= 1, "grid must be non-empty");
@@ -173,64 +164,6 @@ void GridFieldSampler::set_cached_field(std::vector<double> field) {
                  "cached field must match the sampler grid");
   cached_ = std::move(field);
   has_cached_ = true;
-}
-
-DenseFieldSampler::DenseFieldSampler(std::vector<Site> sites, const SpatialCorrelation& rho,
-                                     double sigma)
-    : sites_(std::move(sites)) {
-  RGLEAK_REQUIRE(!sites_.empty(), "dense sampler needs at least one site");
-  RGLEAK_REQUIRE(sigma >= 0.0, "sigma must be non-negative");
-  const std::size_t n = sites_.size();
-  math::Matrix cov(n, n);
-  const double var = sigma * sigma;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j <= i; ++j) {
-      const double d = std::hypot(sites_[i].x_nm - sites_[j].x_nm, sites_[i].y_nm - sites_[j].y_nm);
-      double v = var * rho(d);
-      if (i == j) v += var * 1e-10;  // jitter to keep coincident sites factorizable
-      cov(i, j) = cov(j, i) = v;
-    }
-  }
-  try {
-    chol_ = math::cholesky(cov);
-  } catch (const NumericalError& e) {
-    // Gershgorin bound: every eigenvalue lies in some [a_ii - R_i, a_ii + R_i]
-    // with R_i the off-diagonal row sum; the minimum left endpoint bounds the
-    // smallest eigenvalue from below and tells the caller how indefinite the
-    // correlation function is over these sites.
-    double gersh_lo = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < n; ++i) {
-      double radius = 0.0;
-      for (std::size_t j = 0; j < n; ++j)
-        if (j != i) radius += std::abs(cov(i, j));
-      gersh_lo = std::min(gersh_lo, cov(i, i) - radius);
-    }
-    std::ostringstream os;
-    os << "dense field sampler: covariance from correlation '" << rho.name() << "' over " << n
-       << " sites is not positive definite (Gershgorin eigenvalue lower bound " << gersh_lo
-       << "); " << e.what();
-    throw NumericalError(os.str());
-  }
-}
-
-std::vector<double> DenseFieldSampler::sample(math::Rng& rng) const {
-  FieldWorkspace ws;
-  std::vector<double> y;
-  sample_into(rng, ws, y);
-  return y;
-}
-
-void DenseFieldSampler::sample_into(math::Rng& rng, FieldWorkspace& ws,
-                                    std::vector<double>& out) const {
-  const std::size_t n = sites_.size();
-  ws.normals.resize(n);
-  rng.normal_fill(ws.normals.data(), n);
-  out.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double s = 0.0;
-    for (std::size_t j = 0; j <= i; ++j) s += chol_(i, j) * ws.normals[j];
-    out[i] = s;
-  }
 }
 
 }  // namespace rgleak::process

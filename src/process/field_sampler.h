@@ -7,28 +7,25 @@
 // For regular grids we use circulant embedding (Dietrich & Newsam): embed the
 // stationary covariance in a periodic domain, diagonalize it with a 2-D FFT,
 // and color white noise — exact (up to eigenvalue clamping) and
-// O(N log N). For small irregular site sets a dense Cholesky factorization of
-// the covariance matrix is provided.
+// O(N log N).
 
 #include <cstddef>
 #include <vector>
 
 #include "math/fft.h"
-#include "math/linalg.h"
 #include "math/rng.h"
 #include "process/spatial_correlation.h"
 #include "process/variation.h"
 
 namespace rgleak::process {
 
-/// Caller-owned scratch for the samplers' allocation-free sample_into()
-/// paths. One workspace per worker/stream; buffers grow to the sampler's
+/// Caller-owned scratch for the sampler's allocation-free sample_into()
+/// path. One workspace per worker/stream; buffers grow to the sampler's
 /// padded dimensions on first use and are reused afterwards, so the
 /// steady-state sampling loop performs zero heap allocations.
 struct FieldWorkspace {
   std::vector<std::complex<double>> freq;     ///< kept rows x padded cols, row pass
   std::vector<std::complex<double>> scratch;  ///< padded grid, column-major, column pass
-  std::vector<double> normals;                ///< dense-sampler white noise
 };
 
 /// Samples zero-mean stationary Gaussian fields on a k x m grid of sites with
@@ -48,10 +45,11 @@ class GridFieldSampler {
   std::size_t padded_rows() const { return prow_; }
   std::size_t padded_cols() const { return pcol_; }
 
-  /// The padded dimension the constructor would choose for `n` sites at
-  /// `pitch_nm` spacing under a kernel of range `range_nm` — exposed so the
-  /// memory cost model can preflight footprints without building a sampler.
-  static std::size_t padded_dim(std::size_t n, double pitch_nm, double range_nm);
+  /// The padded dimension the constructor chooses along an axis of `n` sites
+  /// at `pitch_nm` spacing, which the kernel's anisotropy scales by `scale`,
+  /// under a kernel of range `range_nm` — exposed so memory admission can
+  /// price an MC run without building a sampler.
+  static std::size_t padded_dim(std::size_t n, double pitch_nm, double scale, double range_nm);
 
   /// Bytes pinned by this sampler instance for its lifetime: the eigenvalue
   /// table, the spare-field cache, and its column and row FFT plans. Per-draw
@@ -107,31 +105,6 @@ class GridFieldSampler {
   double clamped_fraction_ = 0.0;
   std::vector<double> cached_;   // second independent field from the last FFT
   bool has_cached_ = false;
-};
-
-/// Dense sampler for arbitrary site locations: factorizes the n x n covariance
-/// once (O(n^3)) and produces samples in O(n^2). Intended for n up to a few
-/// thousand.
-class DenseFieldSampler {
- public:
-  struct Site {
-    double x_nm = 0.0;
-    double y_nm = 0.0;
-  };
-
-  DenseFieldSampler(std::vector<Site> sites, const SpatialCorrelation& rho, double sigma);
-
-  std::size_t size() const { return sites_.size(); }
-  std::vector<double> sample(math::Rng& rng) const;
-
-  /// Allocation-free variant mirroring GridFieldSampler::sample_into: the
-  /// white-noise draw lands in `ws.normals`, the colored field in `out`
-  /// (resized to size()). Same stream as sample() for an identical RNG state.
-  void sample_into(math::Rng& rng, FieldWorkspace& ws, std::vector<double>& out) const;
-
- private:
-  std::vector<Site> sites_;
-  math::Matrix chol_;
 };
 
 }  // namespace rgleak::process

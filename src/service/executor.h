@@ -19,9 +19,12 @@ struct JobOutput {
   double sigma_na = 0.0;
   /// Estimator rung / engine that answered ("exact_fft", "linear", "mc", ...).
   std::string method;
-  /// Non-empty when the job did not run as requested: the admission /
-  /// retry ladder walk that was applied (e.g. "mem: exact_fft->linear").
-  /// Journaled with the record.
+  /// Non-empty when a budget moved the job off what it requested: the
+  /// estimator ladder's trail of memory and time notes, "; "-joined (e.g.
+  /// "mem: exact_fft->exact_direct; exact_direct predicted 0.2 ms > budget
+  /// 0.0 ms"), or an MC worker halving ("mem: mc threads 8->2"). Journaled
+  /// with the record. A retry's lower rung is not noted here: the record's
+  /// `attempts` counts retries.
   std::string degradation;
 };
 

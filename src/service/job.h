@@ -55,9 +55,9 @@ struct JobRecord {
   double sigma_na = 0.0;
   /// Estimator rung / engine that answered ("exact_fft", "linear", "mc", ...).
   std::string method;
-  /// Non-empty when the job ran below its requested rung: the admission /
-  /// retry ladder walk (e.g. "mem: exact_fft->linear", "mem: mc threads
-  /// 8->2").
+  /// Non-empty when a budget moved the job off its request: the ladder's
+  /// trail (JobOutput::degradation), e.g. "mem: exact_fft->linear" or
+  /// "mem: mc threads 8->2".
   std::string degradation;
   /// Progress heartbeats observed across all attempts (RunControl::beats);
   /// 0 when heartbeat tracking was off. Diagnostic for stall post-mortems.

@@ -1,12 +1,13 @@
 #include "service/job_runner.h"
 
+#include <algorithm>
 #include <cmath>
 #include <new>
+#include <optional>
 
 #include "charlib/io.h"
 #include "core/estimators.h"
 #include "core/leakage_estimator.h"
-#include "core/cost_model.h"
 #include "core/random_gate.h"
 #include "mc/full_chip_mc.h"
 #include "netlist/io.h"
@@ -53,6 +54,7 @@ JobOutput output_of(const core::LeakageEstimate& e) {
   out.mean_na = e.mean_na;
   out.sigma_na = e.sigma_na;
   out.method = e.method.empty() ? "unknown" : e.method;
+  out.degradation = e.degradation;
   if (!std::isfinite(out.mean_na) || !std::isfinite(out.sigma_na))
     throw NumericalError("estimate produced a non-finite result (mean " +
                          std::to_string(out.mean_na) + ", sigma " + std::to_string(out.sigma_na) +
@@ -93,6 +95,7 @@ std::pair<const charlib::CharacterizedLibrary&, const netlist::Netlist&> JobRunn
     const JobSpec& job, const Params& params) {
   const std::string lib = params.text("lib");
   const std::string path = params.text("netlist");
+  params.reject_unread();
   const PhaseScope phase("phase.parse", "parse", job);
   const charlib::CharacterizedLibrary& chars = chars_for(lib);
   std::lock_guard<std::mutex> lock(cache_mutex_);
@@ -107,9 +110,11 @@ JobOutput JobRunner::run_estimate(const JobSpec& job, const util::RunControl* wa
   const Params params(job);
   const core::DesignCharacteristics d = design_characteristics(params, *library_);
   core::EstimatorConfig cfg = estimator_config(params);
+  const std::string lib = params.text("lib");
+  params.reject_unread();
   const charlib::CharacterizedLibrary& chars = [&]() -> const charlib::CharacterizedLibrary& {
     const PhaseScope phase("phase.parse", "parse", job);
-    return chars_for(params.text("lib"));
+    return chars_for(lib);
   }();
   cfg.run = watchdog;
   cfg.correlation_mode = correlation_mode_for(chars);
@@ -117,26 +122,9 @@ JobOutput JobRunner::run_estimate(const JobSpec& job, const util::RunControl* wa
   // integral rung instead of re-running the rung that failed.
   if (degrade >= 1) cfg.method = core::EstimationMethod::kIntegralPolar;
 
-  std::string degradation;
-  if (governor_ != nullptr) {
-    // Admission sees the most expensive rung this job could occupy: auto
-    // resolves to at most the linear rung on this path.
-    std::string requested = "linear";
-    if (cfg.method == core::EstimationMethod::kIntegralRect) requested = "integral_rect";
-    if (cfg.method == core::EstimationMethod::kIntegralPolar) requested = "integral_polar";
-    const placement::Floorplan fp = placement::Floorplan::for_gate_count(d.gate_count);
-    const Admission adm = admit_estimate(*governor_, fp.rows * fp.cols, requested);
-    if (!adm.degradation.empty()) {
-      if (adm.method == "integral_polar") cfg.method = core::EstimationMethod::kIntegralPolar;
-      degradation = adm.degradation;
-    }
-  }
-
   const PhaseScope phase("phase.estimate", "estimate", job);
   const core::LeakageEstimator estimator(chars, cfg);
-  JobOutput out = output_of(estimator.estimate(d));
-  out.degradation = degradation;
-  return out;
+  return output_of(estimator.estimate(d));
 }
 
 JobOutput JobRunner::run_netlist(const JobSpec& job, const util::RunControl* watchdog,
@@ -145,54 +133,33 @@ JobOutput JobRunner::run_netlist(const JobSpec& job, const util::RunControl* wat
   // A batch job shares the host with the batch's other workers, so its exact
   // analysis runs on one thread unless it asks for more; a CLI run owns the
   // host and defaults to all cores.
-  NetlistRequest req = netlist_request(params, /*default_threads=*/1);
+  const NetlistRequest req = netlist_request(params, /*default_threads=*/1);
   const auto [chars, nl] = inputs_for(job, params);
   const placement::Floorplan fp = placement::Floorplan::for_gate_count(nl.size());
-  const netlist::UsageHistogram usage = netlist::extract_usage(nl);
+  const placement::Placement pl(&nl, fp);
   const core::CorrelationMode mode = correlation_mode_for(chars);
-  const core::RandomGate rg(chars, usage, req.signal_probability, mode);
+  const core::RandomGate rg(chars, netlist::extract_usage(nl), req.signal_probability, mode);
 
-  // The cost ladder: retry degradation picks the requested rung (one down per
-  // retryable failure), then memory admission may walk further down still.
-  // Auto is admitted at the FFT rung — the most memory it could occupy.
-  std::string requested;
-  if (degrade >= 2) requested = "integral_polar";
-  else if (degrade >= 1 || (!req.exact && req.time_budget_s <= 0.0)) requested = "linear";
-  else requested = req.exact_options.method == core::ExactMethod::kDirect ? "exact_direct"
-                                                                           : "exact_fft";
-
-  std::string admitted = requested;
-  std::string degradation;
-  if (governor_ != nullptr) {
-    const Admission adm =
-        admit_estimate(*governor_, static_cast<std::size_t>(fp.rows) * fp.cols, requested);
-    admitted = adm.method;
-    degradation = adm.degradation;
-  }
+  // The requested rung: the exact analysis when the job asks for it, or when
+  // a time budget walks the whole ladder; eq. (17) otherwise. Each retryable
+  // failure requests one rung lower.
+  core::Rung requested = core::exact_rung(req.exact_options.method, fp);
+  if (degrade >= 2) requested = core::Rung::kIntegralPolar;
+  else if (degrade >= 1 || (!req.exact && req.time_budget_s <= 0.0))
+    requested = core::Rung::kLinear;
+  std::optional<core::ExactEstimator> exact;
+  if (requested < core::Rung::kLinear) exact.emplace(chars, req.signal_probability, mode);
 
   const PhaseScope phase("phase.estimate", "estimate", job);
-  JobOutput out;
-  if (admitted == "integral_polar") {
-    out = output_of(core::estimate_integral_polar(rg, fp));
-  } else if (admitted == "linear") {
-    out = output_of(core::estimate_linear(rg, fp, watchdog));
-  } else {
-    core::ExactOptions& opts = req.exact_options;
-    if (admitted == "exact_direct" && requested == "exact_fft")
-      opts.method = core::ExactMethod::kDirect;
-    const placement::Placement pl(&nl, fp);
-    const core::ExactEstimator exact(chars, req.signal_probability, mode);
-    if (req.time_budget_s > 0.0) {
-      const core::CostModel costs = core::CostModel::defaults();
-      out = output_of(core::estimate_placed_budgeted(exact, rg, pl, req.time_budget_s, costs,
-                                                     opts, watchdog));
-    } else {
-      opts.run = watchdog;
-      out = output_of(exact.estimate(pl, opts));
-    }
-  }
-  out.degradation = degradation;
-  return out;
+  return output_of(core::walk_ladder({.rg = rg,
+                                      .fp = fp,
+                                      .exact = exact ? &*exact : nullptr,
+                                      .placement = &pl,
+                                      .exact_options = req.exact_options,
+                                      .time_budget_s = req.time_budget_s,
+                                      .mem_budget_bytes = mem_budget_bytes_,
+                                      .run = watchdog},
+                                     requested));
 }
 
 JobOutput JobRunner::run_mc(const JobSpec& job, const util::RunControl* watchdog) {
@@ -203,22 +170,32 @@ JobOutput JobRunner::run_mc(const JobSpec& job, const util::RunControl* watchdog
   const placement::Floorplan fp = placement::Floorplan::for_gate_count(nl.size());
   const placement::Placement pl(&nl, fp);
 
-  std::string degradation;
-  if (governor_ != nullptr) {
-    const Admission adm = admit_mc(
-        *governor_, static_cast<std::size_t>(fp.rows) * fp.cols, opts.threads);
-    opts.threads = adm.threads;
-    degradation = adm.degradation;
+  // Memory admission: MC has no cheaper rung, so it halves its workers (a
+  // request for all cores counting as one) until the bytes the engine will
+  // reserve fit. Without one worker's worth it is refused, typed.
+  JobOutput out;
+  if (mem_budget_bytes_ > 0) {
+    const auto bytes = [&](std::size_t threads) {
+      return mc::FullChipMonteCarlo::arena_bytes(pl, chars, opts.trials, threads);
+    };
+    const std::size_t requested = std::max<std::size_t>(opts.threads, 1);
+    opts.threads = requested;
+    while (opts.threads > 1 && bytes(opts.threads) > mem_budget_bytes_) opts.threads /= 2;
+    if (bytes(opts.threads) > mem_budget_bytes_)
+      throw ResourceError("admission: mc at " + std::to_string(fp.num_sites()) + " sites needs " +
+                          std::to_string(bytes(1)) + " bytes even with a single worker, over the " +
+                          std::to_string(mem_budget_bytes_) + "-byte memory budget");
+    if (opts.threads != requested)
+      out.degradation = "mem: mc threads " + std::to_string(requested) + "->" +
+                        std::to_string(opts.threads);
   }
 
   const PhaseScope phase("phase.estimate", "estimate", job);
   mc::FullChipMonteCarlo engine(pl, chars, opts);
   const mc::FullChipMcResult r = engine.run();
-  JobOutput out;
   out.mean_na = r.mean_na;
   out.sigma_na = r.sigma_na;
   out.method = "mc";
-  out.degradation = degradation;
   if (!std::isfinite(out.mean_na) || !std::isfinite(out.sigma_na))
     throw NumericalError("mc produced a non-finite result");
   return out;
@@ -228,6 +205,7 @@ JobOutput JobRunner::run_characterize(const JobSpec& job, const util::RunControl
   const Params params(job);
   const std::string out_path = params.text("out");
   const CharacterizeRequest req = characterize_request(params);
+  params.reject_unread();
   const charlib::CharacterizedLibrary chars = [&] {
     const PhaseScope phase("phase.characterize", "characterize", job);
     return req.run(*library_, watchdog);

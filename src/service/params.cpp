@@ -1,5 +1,6 @@
 #include "service/params.h"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <tuple>
@@ -44,9 +45,16 @@ Params::Params(const JobSpec& job)
 
 const std::string* Params::raw(const char* key, bool required) const {
   const auto it = params_->find(key);
+  if (it != params_->end()) read_.push_back(&it->first);
   if (it != params_->end() && !(required && it->second.empty())) return &it->second;
   if (required) throw ConfigError(context_ + " needs parameter \"" + key + "\"");
   return nullptr;
+}
+
+void Params::reject_unread() const {
+  for (const auto& [key, value] : *params_)
+    if (key != "failpoint" && std::find(read_.begin(), read_.end(), &key) == read_.end())
+      throw ConfigError(context_ + ": unknown parameter \"" + key + "\"");
 }
 
 void Params::fail(const char* key, const std::string& why) const {

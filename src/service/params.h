@@ -40,7 +40,9 @@
 //                 corr_scale_um = 100   finite > 0
 //
 // Counts are integers in [0, 2^53], as integer or float literals ("1e3");
-// seeds are integer literals, so every digit counts.
+// seeds are integer literals, so every digit counts. A parameter that no read
+// asks for (a typo, a retired flag) is refused too: each front end calls
+// Params::reject_unread once its reads are done, before any file loads.
 
 #include <cstddef>
 #include <cstdint>
@@ -48,6 +50,7 @@
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "cells/library.h"
 #include "charlib/characterize.h"
@@ -77,7 +80,7 @@ class Params {
 
   explicit Params(const JobSpec& job);
 
-  bool has(const char* key) const { return params_->count(key) > 0; }
+  bool has(const char* key) const { return raw(key, false) != nullptr; }
   /// A required text must be non-empty.
   std::string text(const char* key, std::optional<std::string> fallback = std::nullopt) const;
   double number(const char* key, std::optional<double> fallback, Range range = Range::kAny) const;
@@ -113,12 +116,18 @@ class Params {
   /// Throws ConfigError "<job>: parameter "<key>" <why>".
   [[noreturn]] void fail(const char* key, const std::string& why) const;
 
+  /// Throws ConfigError naming the first parameter that no read above asked
+  /// for (has() counts as a read). `failpoint` is always accepted: the
+  /// process sandbox (service/subprocess.cpp) reads it from the raw job.
+  void reject_unread() const;
+
  private:
-  /// The raw value; nullptr when absent and not `required`.
+  /// The raw value, recorded as read; nullptr when absent and not `required`.
   const std::string* raw(const char* key, bool required) const;
 
   const std::map<std::string, std::string>* params_;
   std::string context_;
+  mutable std::vector<const std::string*> read_;  ///< keys of params_ read so far
 };
 
 /// "usage": CELL:weight pairs, normalized over `lib`.

@@ -1,24 +1,26 @@
 #pragma once
 // Process-wide memory budget: tracked reservations for the big arenas.
 //
-// rgleak's peak memory is dominated by a handful of arenas — FFT plans and
-// field-sampler caches, per-worker MC workspaces, exact-estimator offset
-// tiles. Rather than instrument every allocation, those arenas *charge* their
-// footprint against a process-wide MemoryBudget before allocating and release
-// it when they die. The budget is the memory analogue of RunControl's time
-// budget:
+// rgleak's peak memory is dominated by a handful of arenas — the exact
+// estimators' transform grid and offset tables, and the per-worker MC
+// sampler copies and workspaces. Rather than instrument every allocation,
+// those arenas *charge* their footprint against a process-wide MemoryBudget
+// before allocating and release it when they die. The budget is the memory
+// analogue of RunControl's time budget:
 //
 //  * a limit of 0 means unlimited — charging is then pure bookkeeping
-//    (reserved/peak telemetry for bench records and cost-model calibration);
+//    (reserved/peak telemetry for bench records);
 //  * with a limit set, a reservation that would overshoot throws
 //    ResourceError naming the site, the requested bytes, and the headroom,
 //    so one oversized job fails typed instead of OOM-killing the process;
 //  * all counters are relaxed atomics — charging is cheap enough to keep in
 //    production paths permanently.
 //
-// The admission layer (service/admission.h) uses CostModel byte predictions
-// to keep jobs from reaching a throwing reservation in the first place;
-// the reservation is the backstop for mispredictions, and std::bad_alloc
+// Memory admission (the ladder walk in core/leakage_estimator.h, MC worker
+// halving in service::JobRunner) prices a job with the same arena formulas
+// the engines charge (core/cost_model.h), so a job admitted alone never
+// reaches a throwing reservation; the reservation is the backstop when
+// concurrent jobs together overshoot the limit, and std::bad_alloc
 // translation (see the `alloc` failpoint action) is the backstop below that.
 
 #include <atomic>
@@ -62,7 +64,7 @@ class MemoryBudget {
   std::uint64_t reserved() const { return reserved_.load(std::memory_order_relaxed); }
 
   /// High-water mark of reserved() since construction or the last
-  /// reset_peak(). Feeds bench records and CostModel calibration.
+  /// reset_peak(). Feeds bench records.
   std::uint64_t peak() const { return peak_.load(std::memory_order_relaxed); }
   void reset_peak() { peak_.store(reserved(), std::memory_order_relaxed); }
 

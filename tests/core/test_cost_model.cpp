@@ -1,6 +1,7 @@
-// The per-rung cost model: pinned time and byte predictions, from the
-// built-in defaults and after calibration, the ladder's cost order (predicted
-// and measured), and the calibration reader's refusals. The pins hold every prediction fixed, so a change to a default
+// The per-rung cost model: pinned time predictions, from the built-in
+// defaults and after calibration, the ladder's cost order (predicted and
+// measured), the pinned arena formulas, and the calibration reader's
+// refusals. The pins hold every prediction fixed, so a change to a default
 // coefficient, a basis or the calibration rule shows up here. The
 // calibration fixtures copy records from the checked-in BENCH files, so
 // re-recording those files never moves the pins.
@@ -11,7 +12,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
@@ -31,16 +31,13 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 struct RungPins {
   const char* rung;
-  double ms[4];            // predict_ms at kSizes
-  std::uint64_t bytes[4];  // predict_bytes at kSizes
+  double ms[4];  // predict_ms at kSizes
 };
 
 void expect_pins(const CostModel& m, const std::vector<RungPins>& pins) {
   for (const RungPins& p : pins)
-    for (std::size_t i = 0; i < 4; ++i) {
+    for (std::size_t i = 0; i < 4; ++i)
       EXPECT_EQ(m.predict_ms(p.rung, kSizes[i]), p.ms[i]) << p.rung << " @ " << kSizes[i];
-      EXPECT_EQ(m.predict_bytes(p.rung, kSizes[i]), p.bytes[i]) << p.rung << " @ " << kSizes[i];
-    }
 }
 
 TEST(CostModel, DefaultPredictionsArePinned) {
@@ -48,18 +45,14 @@ TEST(CostModel, DefaultPredictionsArePinned) {
               {
                   {"exact_direct",
                    {3.2768000000000002, 838.86080000000004, 13421.772800000001,
-                    214748.36480000001},
-                   {65536ull, 1048576ull, 4194304ull, 16777216ull}},
+                    214748.36480000001}},
                   {"exact_fft",
-                   {10.24, 245.75999999999999, 1146.8800000000001, 5242.8800000000001},
-                   {2097152ull, 33554432ull, 134217728ull, 536870912ull}},
+                   {10.24, 245.75999999999999, 1146.8800000000001, 5242.8800000000001}},
                   {"linear",
-                   {0.51200000000000001, 8.1920000000000002, 32.768000000000001, 131.072},
-                   {65536ull, 65536ull, 65536ull, 65536ull}},
-                  {"integral_rect", {1, 1, 1, 1}, {32768ull, 32768ull, 32768ull, 32768ull}},
-                  {"integral_polar", {1, 1, 1, 1}, {32768ull, 32768ull, 32768ull, 32768ull}},
-                  {"mc", {kInf, kInf, kInf, kInf},
-                   {1048576ull, 16777216ull, 67108864ull, 268435456ull}},
+                   {0.51200000000000001, 8.1920000000000002, 32.768000000000001, 131.072}},
+                  {"integral_rect", {1, 1, 1, 1}},
+                  {"integral_polar", {1, 1, 1, 1}},
+                  {"mc", {kInf, kInf, kInf, kInf}},
               });
 }
 
@@ -123,33 +116,19 @@ TEST(CostModel, MeasuredRungsDescendTheLadderAt256x256Sites) {
 }
 
 TEST(CostModel, BenchCalibratedPredictionsArePinned) {
-  // wall_ms and budget_peak_bytes of the same records calibrate both laws;
-  // direct_serial rows are ignored, and "mc" gains no time law.
+  // wall_ms calibrates the time laws; direct_serial rows are ignored, and
+  // "mc" gains no time law.
   expect_pins(CostModel::from_bench_json(kCorpus + "/bench_records.json"),
               {
                   {"exact_direct",
-                   {0.2387, 61.107199999999999, 977.71519999999998, 15643.4432},
-                   {8224ull, 131584ull, 526336ull, 2105344ull}},
+                   {0.2387, 61.107199999999999, 977.71519999999998, 15643.4432}},
                   {"exact_fft",
-                   {0.32229999999999998, 7.735199999999999, 36.0976, 165.01759999999999},
-                   {1187776ull, 19004418ull, 76017672ull, 304070688ull}},
+                   {0.32229999999999998, 7.735199999999999, 36.0976, 165.01759999999999}},
                   {"linear",
-                   {0.51200000000000001, 8.1920000000000002, 32.768000000000001, 131.072},
-                   {65536ull, 65536ull, 65536ull, 65536ull}},
-                  {"integral_rect", {1, 1, 1, 1}, {32768ull, 32768ull, 32768ull, 32768ull}},
-                  {"integral_polar", {1, 1, 1, 1}, {32768ull, 32768ull, 32768ull, 32768ull}},
-                  {"mc", {kInf, kInf, kInf, kInf},
-                   {2445070ull, 39121123ull, 156484494ull, 625937976ull}},
-              });
-}
-
-TEST(CostModel, PeakRssCalibratesBytesWithoutABudgetPeak) {
-  // peak_rss_kb stands in when budget_peak_bytes is absent or zero.
-  expect_pins(CostModel::from_bench_json(kCorpus + "/rss_fallback.json"),
-              {
-                  {"linear", {0.78125, 12.5, 50, 200},
-                   {6070272ull, 6070272ull, 6070272ull, 6070272ull}},
-                  {"integral_rect", {97, 97, 97, 97}, {65536ull, 65536ull, 65536ull, 65536ull}},
+                   {0.51200000000000001, 8.1920000000000002, 32.768000000000001, 131.072}},
+                  {"integral_rect", {1, 1, 1, 1}},
+                  {"integral_polar", {1, 1, 1, 1}},
+                  {"mc", {kInf, kInf, kInf, kInf}},
               });
 }
 
@@ -173,10 +152,10 @@ TEST(CostModel, McWorkerArenaFormulaIsPinned) {
 
 TEST(CostModel, MalformedRecordsAreLocatedParseErrors) {
   // Each fixture's second record (line 5) is bad: a missing wall_ms, a site
-  // count that is NaN, negative, beyond size_t, or fractional, an infinite
-  // byte count, or a negative wall time.
+  // count that is NaN, negative, beyond size_t, or fractional, or a negative
+  // wall time.
   for (const char* name : {"missing_wall_ms", "sites_nan", "sites_negative", "sites_huge",
-                           "sites_fractional", "peak_bytes_inf", "wall_ms_negative"}) {
+                           "sites_fractional", "wall_ms_negative"}) {
     const std::string path = kCorpus + "/" + name + ".json";
     try {
       (void)CostModel::from_bench_json(path);

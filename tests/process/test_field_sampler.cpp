@@ -194,9 +194,10 @@ TEST(GridFieldSampler, DrawMatchesParentGolden) {
 }
 
 TEST(GridFieldSampler, WorkspaceAndFootprintBytesMatchTheBuffers) {
-  // The byte law charges what the fused draw holds: the column-major scratch
-  // over the padded grid, the row-pass buffer over the kept rows, and per
-  // sampler the eigenvalue roots, the spare field and two 1-D plans.
+  // The MC arena formula (core::CostModel::mc_worker_bytes) charges what the
+  // fused draw holds: the column-major scratch over the padded grid, the
+  // row-pass buffer over the kept rows, and per sampler the eigenvalue roots,
+  // the spare field and two 1-D plans.
   const ExponentialCorrelation rho(1.0e5);
   GridFieldSampler sampler(48, 48, 1500.0, 1500.0, rho, 1.25);
   math::Rng rng(1);
@@ -210,86 +211,11 @@ TEST(GridFieldSampler, WorkspaceAndFootprintBytesMatchTheBuffers) {
   EXPECT_EQ(sampler.footprint_bytes(), 256u * 256u * 8u + 48u * 48u * 8u + 2 * plan);
 }
 
-TEST(DenseFieldSampler, SampleIntoMatchesSampleStream) {
-  const ExponentialCorrelation rho(250.0);
-  std::vector<DenseFieldSampler::Site> sites = {
-      {0.0, 0.0}, {100.0, 0.0}, {0.0, 300.0}, {400.0, 400.0}, {50.0, 60.0}};
-  const DenseFieldSampler a(sites, rho, 1.2);
-  math::Rng ra(12), rb(12);
-  FieldWorkspace ws;
-  std::vector<double> out;
-  for (int t = 0; t < 6; ++t) {
-    const std::vector<double> ref = a.sample(ra);
-    a.sample_into(rb, ws, out);
-    ASSERT_EQ(out.size(), ref.size());
-    for (std::size_t i = 0; i < ref.size(); ++i) EXPECT_EQ(out[i], ref[i]);
-  }
-  EXPECT_EQ(ra(), rb());
-}
-
 TEST(GridFieldSampler, ContractChecks) {
   const ExponentialCorrelation rho(100.0);
   EXPECT_THROW(GridFieldSampler(0, 4, 1.0, 1.0, rho, 1.0), ContractViolation);
   EXPECT_THROW(GridFieldSampler(4, 4, 0.0, 1.0, rho, 1.0), ContractViolation);
   EXPECT_THROW(GridFieldSampler(4, 4, 1.0, 1.0, rho, -1.0), ContractViolation);
-}
-
-TEST(DenseFieldSampler, MatchesKernelCovariance) {
-  const ExponentialCorrelation rho(250.0);
-  std::vector<DenseFieldSampler::Site> sites = {
-      {0.0, 0.0}, {100.0, 0.0}, {0.0, 300.0}, {400.0, 400.0}};
-  const DenseFieldSampler sampler(sites, rho, 1.3);
-  math::Rng rng(6);
-  math::RunningCovariance c01, c02;
-  math::RunningStats v0;
-  for (int t = 0; t < 40000; ++t) {
-    const auto f = sampler.sample(rng);
-    c01.add(f[0], f[1]);
-    c02.add(f[0], f[2]);
-    v0.add(f[0]);
-  }
-  EXPECT_NEAR(v0.variance(), 1.69, 0.05);
-  EXPECT_NEAR(c01.correlation(), rho(100.0), 0.02);
-  EXPECT_NEAR(c02.correlation(), rho(300.0), 0.02);
-}
-
-TEST(DenseFieldSampler, HandlesCoincidentSites) {
-  const ExponentialCorrelation rho(100.0);
-  std::vector<DenseFieldSampler::Site> sites = {{0.0, 0.0}, {0.0, 0.0}};
-  const DenseFieldSampler sampler(sites, rho, 1.0);  // jitter keeps it SPD
-  math::Rng rng(7);
-  math::RunningCovariance c;
-  for (int t = 0; t < 5000; ++t) {
-    const auto f = sampler.sample(rng);
-    c.add(f[0], f[1]);
-  }
-  EXPECT_GT(c.correlation(), 0.99);
-}
-
-TEST(DenseFieldSampler, RejectsEmptySites) {
-  const ExponentialCorrelation rho(100.0);
-  EXPECT_THROW(DenseFieldSampler({}, rho, 1.0), ContractViolation);
-}
-
-TEST(GridVsDense, AgreeOnSmallGrid) {
-  // Both samplers target the same covariance; compare lag-1 correlations.
-  const ExponentialCorrelation rho(200.0);
-  GridFieldSampler grid(3, 3, 100.0, 100.0, rho, 1.0);
-  std::vector<DenseFieldSampler::Site> sites;
-  for (std::size_t r = 0; r < 3; ++r)
-    for (std::size_t c = 0; c < 3; ++c)
-      sites.push_back({(c + 0.5) * 100.0, (r + 0.5) * 100.0});
-  const DenseFieldSampler dense(sites, rho, 1.0);
-
-  math::Rng rng(8);
-  math::RunningCovariance g, d;
-  for (int t = 0; t < 30000; ++t) {
-    const auto fg = grid.sample(rng);
-    const auto fd = dense.sample(rng);
-    g.add(fg[0], fg[4]);
-    d.add(fd[0], fd[4]);
-  }
-  EXPECT_NEAR(g.correlation(), d.correlation(), 0.03);
 }
 
 }  // namespace

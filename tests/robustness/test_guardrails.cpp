@@ -92,22 +92,6 @@ TEST(Guardrails, ExpectationRefusesOverflow) {
   EXPECT_THROW((void)math::expectation_exp_quadratic_1d(0.0, 1.0, 0.0, 1.0), NumericalError);
 }
 
-TEST(Guardrails, DenseSamplerReportsGershgorinBound) {
-  const BogusCorrelation rho;
-  std::vector<process::DenseFieldSampler::Site> sites;
-  for (int i = 0; i < 4; ++i)
-    sites.push_back({static_cast<double>(i) * 100.0, 0.0});
-  try {
-    const process::DenseFieldSampler sampler(std::move(sites), rho, 1.0);
-    FAIL() << "expected NumericalError";
-  } catch (const NumericalError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("'bogus'"), std::string::npos) << what;
-    EXPECT_NE(what.find("Gershgorin"), std::string::npos) << what;
-    EXPECT_NE(what.find("4 sites"), std::string::npos) << what;
-  }
-}
-
 TEST(Guardrails, GridSamplerRejectsNonPsdKernel) {
   const BogusCorrelation rho;
   try {

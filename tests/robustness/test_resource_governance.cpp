@@ -1,12 +1,12 @@
-// Resource governance end to end: a 64-job mixed batch under a memory budget
-// a quarter of the unconstrained peak completes with zero crashes, walks the
-// admission ladder deterministically, and rejects what cannot fit with typed
-// ResourceErrors; injected std::bad_alloc at every charged arena surfaces as
-// a located, retryable resource failure the batch recovers from.
+// Resource governance end to end: a 64-job mixed batch under memory budgets
+// set on the arena formulas of its fixtures (core/cost_model.h) completes
+// with zero crashes, walks the admission ladder deterministically, and
+// rejects what cannot fit with typed ResourceErrors; the ladder's whole
+// trail reaches the journal; injected std::bad_alloc at every charged arena
+// surfaces as a located, retryable resource failure the batch recovers from.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <sstream>
@@ -15,7 +15,9 @@
 
 #include "../test_util.h"
 #include "charlib/io.h"
+#include "core/cost_model.h"
 #include "math/rng.h"
+#include "mc/full_chip_mc.h"
 #include "netlist/io.h"
 #include "netlist/random_circuit.h"
 #include "service/batch_runner.h"
@@ -38,25 +40,39 @@ std::string temp_path(const char* name) {
   return std::string(::testing::TempDir()) + name;
 }
 
+netlist::Netlist gov_netlist() {
+  netlist::UsageHistogram usage;
+  usage.alphas.assign(mini_library().size(), 0.0);
+  usage.alphas[0] = 0.5;
+  usage.alphas[1] = 0.3;
+  usage.alphas[2] = 0.2;
+  math::Rng gen(97);
+  return generate_random_circuit(mini_library(), usage, 64, gen);
+}
+
 struct GovInputs {
   std::string lib_path = temp_path("rgleak_gov_lib.rgchar");
   std::string netlist_path = temp_path("rgleak_gov_netlist.rgnl");
+  netlist::Netlist nl = gov_netlist();
+  /// What every netlist and mc job builds: 64 gates on an 8x8 grid.
+  placement::Placement pl{&nl, placement::Floorplan::for_gate_count(64)};
 
   GovInputs() {
     charlib::save_characterization(mini_chars_analytic(), lib_path);
-    netlist::UsageHistogram usage;
-    usage.alphas.assign(mini_library().size(), 0.0);
-    usage.alphas[0] = 0.5;
-    usage.alphas[1] = 0.3;
-    usage.alphas[2] = 0.2;
-    math::Rng gen(97);
-    netlist::save_netlist(generate_random_circuit(mini_library(), usage, 64, gen), netlist_path);
+    netlist::save_netlist(nl, netlist_path);
   }
 };
 
 const GovInputs& inputs() {
   static const GovInputs in;
   return in;
+}
+
+// The prices admission puts on the fixture's jobs, from the arena formulas.
+std::uint64_t fft_bytes() { return core::CostModel::exact_fft_bytes(8, 8); }
+std::uint64_t direct_bytes() { return core::CostModel::exact_direct_bytes(64, 8, 8); }
+std::uint64_t mc_bytes(std::size_t threads) {
+  return mc::FullChipMonteCarlo::arena_bytes(inputs().pl, mini_chars_analytic(), 10, threads);
 }
 
 // Restores the process-wide budget when a test exits, so governance tests
@@ -66,8 +82,8 @@ struct ProcessLimitGuard {
 };
 
 // 64 jobs: 16 estimates, 16 linear netlists, 8 exact-FFT, 8 exact-direct,
-// 16 Monte Carlo. Fixed ids and parameters: the governed outcome must be
-// reproducible record for record.
+// 16 Monte Carlo of 10 trials on 4 workers. Fixed ids and parameters: the
+// governed outcome must be reproducible record for record.
 std::vector<JobSpec> mixed_manifest() {
   std::ostringstream ms;
   int n = 0;
@@ -88,8 +104,8 @@ std::vector<JobSpec> mixed_manifest() {
        << "\",\"exact\":true,\"exact_method\":\"direct\"}\n";
   for (int i = 0; i < 16; ++i)
     ms << "{\"id\":\"job-" << n++ << "-mc\",\"kind\":\"mc\",\"lib\":\"" << inputs().lib_path
-       << "\",\"netlist\":\"" << inputs().netlist_path << "\",\"trials\":10,\"seed\":" << (100 + i)
-       << "}\n";
+       << "\",\"netlist\":\"" << inputs().netlist_path
+       << "\",\"trials\":10,\"threads\":4,\"seed\":" << (100 + i) << "}\n";
   std::istringstream is(ms.str());
   return parse_manifest(is, "governed.jsonl");
 }
@@ -107,20 +123,26 @@ BatchOptions gov_options() {
   return opts;
 }
 
+// Runs `jobs` with each job admitted against `budget` bytes. Admission prices
+// one job at a time, and an admitted job reserves at most `budget`; the
+// process-wide limit is shared by the batch's workers, so it is set to
+// workers x budget here. At `budget` itself, jobs running side by side could
+// trip the engines' backstop reservations at timing-dependent moments, and no
+// replay of the batch could be deterministic. (`rgleak batch` sets both to
+// --mem-budget: there the reservation is the enforcing ceiling.)
 std::map<std::string, JobRecord> run_governed(const std::vector<JobSpec>& jobs,
                                               std::uint64_t budget, BatchSummary* out_summary) {
-  MemoryBudget::process().set_limit(budget);
-  ResourceGovernor gov;
-  gov.mem_budget_bytes = budget;
+  const BatchOptions opts = gov_options();
+  MemoryBudget::process().set_limit(budget * opts.workers);
   JobRunner runner(mini_library());
-  runner.set_governor(&gov);
+  runner.set_mem_budget(budget);
   Journal journal = Journal::open("");
-  const BatchSummary s = run_batch(jobs, runner, journal, gov_options());
+  const BatchSummary s = run_batch(jobs, runner, journal, opts);
   if (out_summary != nullptr) *out_summary = s;
   return journal.records();
 }
 
-TEST(ResourceGovernance, QuarterBudgetBatchCompletesWithTypedOutcomes) {
+TEST(ResourceGovernance, TightBudgetBatchCompletesWithTypedOutcomes) {
   const ProcessLimitGuard guard;
   const std::vector<JobSpec> jobs = mixed_manifest();
   ASSERT_EQ(jobs.size(), 64u);
@@ -131,13 +153,13 @@ TEST(ResourceGovernance, QuarterBudgetBatchCompletesWithTypedOutcomes) {
   BatchSummary unconstrained;
   const auto reference = run_governed(jobs, 0, &unconstrained);
   EXPECT_EQ(unconstrained.succeeded, 64u) << "unconstrained mixed batch must be clean";
-  const std::uint64_t peak = MemoryBudget::process().peak();
-  EXPECT_GT(peak, 0u) << "arenas charged nothing; governance would be vacuous";
+  EXPECT_GE(MemoryBudget::process().peak(), mc_bytes(4))
+      << "a 4-worker MC job charged less than its arenas; governance would be vacuous";
 
-  // Governed pass at a quarter of that peak — floored at 128 KiB so the
-  // admission model (sized for real designs) still has rungs that fit the
-  // mini fixtures.
-  const std::uint64_t budget = std::max<std::uint64_t>(peak / 4, 128u << 10);
+  // Governed pass with room for one MC worker but not two: every MC job is
+  // admitted at one worker, and the exact arenas (a few KiB) fit as asked.
+  ASSERT_LT(fft_bytes(), mc_bytes(1));
+  const std::uint64_t budget = mc_bytes(2) - 1;
   BatchSummary s;
   const auto records = run_governed(jobs, budget, &s);
 
@@ -161,6 +183,9 @@ TEST(ResourceGovernance, QuarterBudgetBatchCompletesWithTypedOutcomes) {
       EXPECT_EQ(rec.status, JobStatus::kSucceeded)
           << id << ": a degraded admission that still failed";
     }
+    if (id.find("-mc") != std::string::npos) {
+      EXPECT_EQ(rec.degradation, "mem: mc threads 4->1") << id;
+    }
   }
   EXPECT_GT(degraded + s.failed, 0u) << "quarter budget exerted no pressure at all";
 
@@ -178,9 +203,10 @@ TEST(ResourceGovernance, QuarterBudgetBatchCompletesWithTypedOutcomes) {
 TEST(ResourceGovernance, FftJobsDegradeToDirectUnderTightBudget) {
   const ProcessLimitGuard guard;
   const std::vector<JobSpec> jobs = mixed_manifest();
-  // 128 KiB: below the FFT rung's prediction at these site counts, above the
-  // direct and linear rungs, below one MC worker.
-  const auto records = run_governed(jobs, 128u << 10, nullptr);
+  // One byte short of the FFT arena: above the direct arena (eq. 17 and the
+  // integrals reserve nothing), far below one MC worker.
+  ASSERT_LT(direct_bytes(), fft_bytes() - 1);
+  const auto records = run_governed(jobs, fft_bytes() - 1, nullptr);
   for (const auto& [id, rec] : records) {
     if (id.find("-fft") != std::string::npos) {
       EXPECT_EQ(rec.status, JobStatus::kSucceeded) << id;
@@ -193,6 +219,51 @@ TEST(ResourceGovernance, FftJobsDegradeToDirectUnderTightBudget) {
       EXPECT_TRUE(rec.degradation.empty()) << id << ": " << rec.degradation;
     }
   }
+}
+
+// The ladder's whole trail, memory and time notes "; "-joined, reaches the
+// journal for the netlist and estimate kinds alike.
+TEST(ResourceGovernance, JournalCarriesTheLadderTrail) {
+  const ProcessLimitGuard guard;
+  std::ostringstream ms;
+  ms << "{\"id\":\"fft\",\"kind\":\"netlist\",\"lib\":\"" << inputs().lib_path
+     << "\",\"netlist\":\"" << inputs().netlist_path
+     << "\",\"exact\":true,\"exact_method\":\"fft\",\"time_budget_s\":1e-6}\n"
+     << "{\"id\":\"est\",\"kind\":\"estimate\",\"lib\":\"" << inputs().lib_path
+     << "\",\"gates\":400,\"die_um\":\"20x20\",\"usage\":\"INV_X1:3,NAND2_X1:2\","
+     << "\"method\":\"linear\",\"time_budget_s\":1e-7}\n";
+  std::istringstream is(ms.str());
+  const std::vector<JobSpec> jobs = parse_manifest(is, "trail.jsonl");
+  const auto expect_floor = [](const JobRecord& rec) {
+    EXPECT_EQ(rec.status, JobStatus::kSucceeded) << rec.error;
+    EXPECT_EQ(rec.method.rfind("integral_", 0), 0u) << rec.method;
+  };
+
+  // Time notes only: every rung above the integral floor is predicted over
+  // the microsecond budget.
+  auto records = run_governed(jobs, 0, nullptr);
+  const JobRecord& fft = records.at("fft");
+  expect_floor(fft);
+  EXPECT_EQ(fft.degradation.rfind("exact_fft predicted ", 0), 0u) << fft.degradation;
+  EXPECT_NE(fft.degradation.find("; exact_direct predicted "), std::string::npos)
+      << fft.degradation;
+  EXPECT_NE(fft.degradation.find("; linear predicted "), std::string::npos) << fft.degradation;
+  const JobRecord& est = records.at("est");
+  expect_floor(est);
+  EXPECT_EQ(est.degradation.rfind("linear predicted ", 0), 0u) << est.degradation;
+
+  // A budget between the exact arenas puts the memory note first.
+  records = run_governed(jobs, fft_bytes() - 1, nullptr);
+  expect_floor(records.at("fft"));
+  EXPECT_EQ(records.at("fft").degradation.rfind("mem: exact_fft->exact_direct; exact_direct "
+                                                "predicted ",
+                                                0),
+            0u)
+      << records.at("fft").degradation;
+  EXPECT_NE(records.at("fft").degradation.find("; linear predicted "), std::string::npos)
+      << records.at("fft").degradation;
+  EXPECT_EQ(records.at("est").degradation.rfind("linear predicted ", 0), 0u)
+      << records.at("est").degradation;
 }
 
 // One batch job per arena site, with a one-shot bad_alloc injected at that

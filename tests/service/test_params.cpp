@@ -1,8 +1,8 @@
 // service::Params and the per-kind builders: the one reader behind the
 // batch's job kinds and the CLI's flags. Every check raises one ConfigError
-// naming its parameter, good parameters build the engine inputs (defaults
-// included), and a batch of bad-input jobs journals each one as a config
-// failure.
+// naming its parameter, a parameter no read asks for is refused by name,
+// good parameters build the engine inputs (defaults included), and a batch
+// of bad-input jobs journals each one as a config failure.
 
 #include "service/params.h"
 
@@ -61,6 +61,26 @@ void build(const std::string& kind, const Params& p) {
   } else {
     (void)characterize_request(p);
   }
+}
+
+// What the kind's runner reads besides the builders: the files it loads or
+// writes. After build() and this, a job's parameters are all read.
+void read_paths(const std::string& kind, const Params& p) {
+  if (kind == "characterize") {
+    (void)p.text("out");
+    return;
+  }
+  (void)p.text("lib");
+  if (kind != "estimate") (void)p.text("netlist");
+}
+
+// Reads a job of `kind` as its runner does, then refuses what went unread.
+void read_job(const std::string& kind, Raw raw) {
+  const JobSpec job = spec(kind, std::move(raw));
+  const Params p(job);
+  build(kind, p);
+  read_paths(kind, p);
+  p.reject_unread();
 }
 
 struct BadCase {
@@ -155,6 +175,34 @@ TEST(Params, EveryBadValueIsOneConfigErrorNamingItsParameter) {
           << e.what();
     }
   }
+}
+
+TEST(Params, UnreadParametersAreRefusedByName) {
+  for (const std::string kind : {"estimate", "netlist", "mc", "characterize"}) {
+    SCOPED_TRACE(kind);
+    EXPECT_NO_THROW(read_job(kind, base(kind)));
+    Raw typo = base(kind);
+    typo["methd"] = "polar";
+    try {
+      read_job(kind, typo);
+      ADD_FAILURE() << "accepted";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown parameter \"methd\""), std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find("job 't' (" + kind + ")"), std::string::npos)
+          << e.what();
+    }
+    // The process sandbox reads a job's failpoint from the raw parameters.
+    Raw failpoint = base(kind);
+    failpoint["failpoint"] = "service.job.execute:throw";
+    EXPECT_NO_THROW(read_job(kind, failpoint));
+  }
+  // Every key of perfbench's plan-batch manifest (id and kind aside) is one
+  // the estimate kind reads.
+  Raw plan = base("estimate");
+  plan["method"] = "rect";
+  plan["p"] = "max";
+  EXPECT_NO_THROW(read_job("estimate", plan));
 }
 
 TEST(Params, BothLengthSigmasZeroIsRefused) {
@@ -407,6 +455,10 @@ TEST(Params, BatchJournalsEveryBadInputJobAsConfig) {
       {"mc", "trials", "1"},              {"mc", "seed", "-1"},
       {"mc", "p", "nan"},                 {"characterize", "sigma_wid", "-1"},
       {"characterize", "corr_scale_um", "0"},
+      // Parameters that no reader asks for, e.g. a misspelled "method" that
+      // would otherwise leave the default rung running.
+      {"estimate", "methd", "polar"},     {"netlist", "exact_methd", "fft"},
+      {"mc", "trails", "4"},              {"characterize", "samles", "64"},
   };
   std::vector<JobSpec> jobs;
   for (const auto& [kind, raw] : good) {

@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <string>
 
 namespace {
@@ -91,17 +92,14 @@ TEST_F(CliFlags, MetricsJsonIsWrittenAtExit) {
   std::remove(out.c_str());
 }
 
-TEST_F(CliFlags, MemModelNeedsWallMsInEveryRecord) {
-  // --mem-model reads through the same calibration reader as --cost-model, so
-  // a record without wall_ms is a parse error (exit 3), not a skipped record.
-  const std::string model = temp_path("rgleak_cli_mem_model.json");
-  std::ofstream(model) << R"({"records": [{"sites": 1024, "method": "fft", )"
-                          R"("budget_peak_bytes": 4750344}]})";
-  EXPECT_EQ(run_cli(batch("--mem-model " + model)), 3);
-  std::ofstream(model) << R"({"records": [{"sites": 1024, "method": "fft", "wall_ms": 1.5, )"
-                          R"("budget_peak_bytes": 4750344}]})";
-  EXPECT_EQ(run_cli(batch("--mem-model " + model)), 0);
-  std::remove(model.c_str());
+TEST_F(CliFlags, UnreadFlagsAreUsageErrors) {
+  // A typo'd --mem-budget must not run the batch uncapped, and the retired
+  // --mem-model must not be ignored: both are refused before the manifest
+  // loads.
+  EXPECT_EQ(run_cli(batch("--mem-budgt 1k")), 2);
+  EXPECT_EQ(run_cli(batch("--mem-model x")), 2);
+  // The global flags stay accepted by every command.
+  EXPECT_EQ(run_cli(batch("--error-json --progress --metrics-json /dev/null")), 0);
 }
 
 // Bad values of the job parameters the commands share with the batch
@@ -112,16 +110,22 @@ class CliParams : public ::testing::Test {
  protected:
   static std::string lib() { return temp_path("rgleak_cli_params.rgchar"); }
   static std::string netlist() { return temp_path("rgleak_cli_params.rgnl"); }
+  /// 400 gates on a 20x20 grid.
+  static std::string netlist400() { return temp_path("rgleak_cli_params_400.rgnl"); }
 
   static void SetUpTestSuite() {
     ASSERT_EQ(run_cli("characterize --out " + lib()), 0);
     ASSERT_EQ(run_cli("gen-netlist --out " + netlist() +
                       " --gates 64 --usage INV_X1:1,NAND2_X1:1 --seed 3"),
               0);
+    ASSERT_EQ(run_cli("gen-netlist --out " + netlist400() +
+                      " --gates 400 --usage INV_X1:0.5,NAND2_X1:0.5"),
+              0);
   }
   static void TearDownTestSuite() {
     std::remove(lib().c_str());
     std::remove(netlist().c_str());
+    std::remove(netlist400().c_str());
   }
 
   static std::string estimate() {
@@ -144,6 +148,96 @@ TEST_F(CliParams, BadValuesAreUsageErrors) {
   EXPECT_EQ(run_cli("characterize --out " + temp_path("rgleak_cli_unused.rgchar") +
                     " --sigma-wid -1"),
             2);
+}
+
+TEST_F(CliParams, UnreadFlagIsAUsageError) {
+  const std::string netlist_cmd = "netlist --lib " + lib() + " --netlist " + netlist();
+  ASSERT_EQ(run_cli(netlist_cmd), 0);
+  EXPECT_EQ(run_cli(netlist_cmd + " --bogus-flag 7"), 2);
+  EXPECT_EQ(run_cli(estimate() + " --methd polar"), 2);
+  EXPECT_EQ(run_cli(netlist_cmd + " --cost-model /nonexistent"), 5)
+      << "read and loaded, with or without a --time-budget";
+}
+
+// The governance recipe's three-job batch: an early estimate, an exact FFT
+// netlist job and an MC job on the 400-gate design, whose 20x20 grid has
+// arenas of 12,856 B (direct), 33,280 B (FFT) and 447,264 B per MC worker
+// (a 128x128 embedding). Returns the journal's record line per job id.
+std::map<std::string, std::string> run_governed_batch(const std::string& lib,
+                                                      const std::string& netlist400,
+                                                      const std::string& mem_budget, int* rc) {
+  const std::string manifest = temp_path("rgleak_cli_gov.jsonl");
+  const std::string journal = temp_path("rgleak_cli_gov.journal");
+  std::ofstream(manifest)
+      << "{\"id\":\"e\",\"kind\":\"estimate\",\"lib\":\"" << lib
+      << "\",\"usage\":\"INV_X1:0.4,NAND2_X1:0.6\",\"gates\":400,\"die_um\":\"30x30\"}\n"
+      << "{\"id\":\"f\",\"kind\":\"netlist\",\"lib\":\"" << lib << "\",\"netlist\":\""
+      << netlist400 << "\",\"exact\":\"true\",\"exact_method\":\"fft\"}\n"
+      << "{\"id\":\"m\",\"kind\":\"mc\",\"lib\":\"" << lib << "\",\"netlist\":\""
+      << netlist400 << "\",\"trials\":\"20\"}\n";
+  std::remove(journal.c_str());
+  *rc = run_cli("batch --manifest " + manifest + " --journal " + journal + " --mem-budget " +
+                mem_budget);
+  std::map<std::string, std::string> records;
+  std::ifstream in(journal);
+  for (std::string line; std::getline(in, line);)
+    for (const char* id : {"e", "f", "m"})
+      if (line.rfind(std::string("{\"job\":\"") + id + "\"", 0) == 0) records[id] = line;
+  std::remove(manifest.c_str());
+  std::remove(journal.c_str());
+  return records;
+}
+
+TEST_F(CliParams, MemBudgetBetweenTheExactArenasDegradesFftAndRefusesMc) {
+  int rc = 0;
+  auto records = run_governed_batch(lib(), netlist400(), "20k", &rc);
+  EXPECT_EQ(rc, 7);
+  EXPECT_NE(records["f"].find("\"method\":\"exact_direct\""), std::string::npos) << records["f"];
+  EXPECT_NE(records["f"].find("\"degradation\":\"mem: exact_fft->exact_direct\""),
+            std::string::npos)
+      << records["f"];
+  // The failed record embeds the error report as an escaped JSON string.
+  EXPECT_NE(records["m"].find(R"("status":"failed")"), std::string::npos) << records["m"];
+  EXPECT_NE(records["m"].find(R"(\"error\":\"resource\")"), std::string::npos) << records["m"];
+  EXPECT_NE(records["e"].find("\"method\":\"linear\""), std::string::npos) << records["e"];
+  EXPECT_EQ(records["e"].find("degradation"), std::string::npos) << records["e"];
+}
+
+TEST_F(CliParams, MemBudgetOfOneMebibyteRunsTheFftJobAsAsked) {
+  // 1 MiB holds the 33,280-byte FFT arena: no step down to the O(n^2) path.
+  int rc = 0;
+  auto records = run_governed_batch(lib(), netlist400(), "1m", &rc);
+  EXPECT_EQ(rc, 0);
+  EXPECT_NE(records["f"].find("\"method\":\"exact_fft\""), std::string::npos) << records["f"];
+  EXPECT_EQ(records["f"].find("degradation"), std::string::npos) << records["f"];
+  EXPECT_NE(records["m"].find("\"method\":\"mc\""), std::string::npos) << records["m"];
+}
+
+TEST_F(CliParams, BatchJournalsTheLadderTrail) {
+  // Every rung above the integral floor is predicted over a microsecond
+  // budget; under 20k the FFT arena does not fit either. The journal keeps
+  // each note, in walk order.
+  const std::string manifest = temp_path("rgleak_cli_trail.jsonl");
+  const std::string journal = temp_path("rgleak_cli_trail.journal");
+  std::ofstream(manifest)
+      << "{\"id\":\"f\",\"kind\":\"netlist\",\"lib\":\"" << lib() << "\",\"netlist\":\""
+      << netlist400() << "\",\"exact_method\":\"fft\",\"time_budget_s\":1e-6}\n"
+      << "{\"id\":\"l\",\"kind\":\"estimate\",\"lib\":\"" << lib()
+      << "\",\"usage\":\"INV_X1:1\",\"gates\":400,\"die_um\":\"30x30\",\"method\":\"linear\","
+         "\"time_budget_s\":1e-7}\n";
+  std::remove(journal.c_str());
+  EXPECT_EQ(run_cli("batch --manifest " + manifest + " --journal " + journal +
+                    " --mem-budget 20k"),
+            0);
+  std::ifstream in(journal);
+  const std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  EXPECT_NE(text.find(R"("degradation":"mem: exact_fft->exact_direct; exact_direct predicted )"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find(R"(; linear predicted )"), std::string::npos) << text;
+  EXPECT_NE(text.find(R"("degradation":"linear predicted )"), std::string::npos) << text;
+  std::remove(manifest.c_str());
+  std::remove(journal.c_str());
 }
 
 TEST_F(CliParams, ExactZeroSkipsTheExactAnalysis) {

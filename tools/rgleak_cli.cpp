@@ -6,7 +6,8 @@
 // pins the process corner. The command line is read as a job: `--a-b VALUE`
 // is parameter `a_b` (`--time-budget` is `time_budget_s`), checked by the
 // same service::Params reader and builders as the batch's jobs
-// (service/params.h), so the CLI keeps only orchestration and printing.
+// (service/params.h), so the CLI keeps only orchestration and printing. A
+// flag that the command does not read is refused like a bad value.
 
 #include <algorithm>
 #include <chrono>
@@ -84,7 +85,7 @@ extern "C" void handle_signal(int) { g_run.request_stop(util::StopReason::kCance
                "               [--retry-budget N] [--queue-depth N]\n"
                "               [--shed-policy block|reject-new|drop-oldest]\n"
                "               [--job-deadline SECONDS] [--stall-timeout SECONDS]\n"
-               "               [--mem-budget auto|none|SIZE] [--mem-model BENCH.json]\n"
+               "               [--mem-budget auto|none|SIZE]\n"
                "               [--jitter-seed S] [--isolate in-process|process]\n"
                "               [--isolate-grace SECONDS]\n"
                "  rgleak gen-netlist --out FILE --gates N --usage SPEC [--seed S]\n"
@@ -99,7 +100,8 @@ extern "C" void handle_signal(int) { g_run.request_stop(util::StopReason::kCance
                "flags:        --a-b is the batch jobs' parameter a_b, --time-budget their\n"
                "              time_budget_s (defaults, ranges: src/service/params.h);\n"
                "              counts accept 1e3, seeds are integers >= 0, and --exact 0\n"
-               "              skips the exact analysis unless --exact-method is given\n"
+               "              skips the exact analysis unless --exact-method is given;\n"
+               "              a flag the command does not read is a usage error\n"
                "global flags: --error-json (one-line JSON error reports on stderr)\n"
                "              --trace FILE (append one JSONL span per phase/attempt;\n"
                "              sandboxed children inherit it via RGLEAK_TRACE)\n"
@@ -117,9 +119,11 @@ extern "C" void handle_signal(int) { g_run.request_stop(util::StopReason::kCance
                "              instead of killing the batch. Default in-process, or the\n"
                "              RGLEAK_ISOLATE=process environment override.\n"
                "mem-budget SIZE: bytes with an optional k/m/g suffix, e.g. 512m;\n"
-               "              auto = detect from cgroup / RLIMIT_AS, none = unlimited\n"
-               "cost-model, mem-model BENCH.json: bench_scaling/bench_full_chip_mc records,\n"
-               "              one reader; each record needs method, sites and wall_ms\n"
+               "              auto = detect from cgroup / RLIMIT_AS, none = unlimited;\n"
+               "              each job runs the best rung whose arenas fit, MC with\n"
+               "              halved workers\n"
+               "cost-model BENCH.json: bench_scaling --exact-json records that calibrate\n"
+               "              the time laws; each record needs method, sites and wall_ms\n"
                "exit codes: 0 ok, 1 internal, 2 usage/config, 3 parse, 4 numerical, 5 io,\n"
                "            6 deadline/cancelled (SIGINT or --time-budget expiry),\n"
                "            7 batch completed but some jobs failed or were shed,\n"
@@ -214,6 +218,7 @@ class ProgressPrinter {
 int cmd_characterize(const Params& p) {
   const std::string out = p.text("out");
   const service::CharacterizeRequest req = service::characterize_request(p);
+  p.reject_unread();
   const cells::StdCellLibrary& lib = cells::build_virtual90_library();
   std::printf("characterizing %zu cells (%s mode)...\n", lib.size(), req.mode);
   // Ctrl-C stops between (cell, state) pairs with exit code 6; the output
@@ -230,7 +235,9 @@ int cmd_estimate(const Params& p) {
   // Checked with the rest; printed only when given.
   const double q = p.number("quantile", 0.5, Range::kOpenUnit);
   const double budget_na = p.number("budget_ua", 0.0) * 1000.0;
-  const charlib::CharacterizedLibrary chars = charlib::load_characterization(lib, p.text("lib"));
+  const std::string lib_path = p.text("lib");
+  p.reject_unread();
+  const charlib::CharacterizedLibrary chars = charlib::load_characterization(lib, lib_path);
   cfg.run = &g_run;
   cfg.correlation_mode = service::correlation_mode_for(chars);
 
@@ -254,6 +261,12 @@ int cmd_netlist(const Params& p) {
   const service::NetlistRequest req = service::netlist_request(p);
   const std::string lib_path = p.text("lib");
   const std::string netlist_path = p.text("netlist");
+  const std::string cost_model = p.text("cost_model", "");
+  p.reject_unread();
+  // Loaded whenever given, so a bad record fails the run even without a
+  // --time-budget to use it.
+  const core::CostModel costs = cost_model.empty() ? core::CostModel::defaults()
+                                                   : core::CostModel::from_bench_json(cost_model);
   const cells::StdCellLibrary& lib = cells::build_virtual90_library();
   const charlib::CharacterizedLibrary chars = charlib::load_characterization(lib, lib_path);
   const netlist::Netlist nl = netlist::load_netlist(lib, netlist_path);
@@ -282,9 +295,6 @@ int cmd_netlist(const Params& p) {
   if (req.time_budget_s > 0.0) {
     // Budgeted ladder: exact -> linear -> integral, degrading whenever the
     // cost model predicts the next rung would blow the remaining budget.
-    const core::CostModel costs = p.has("cost_model")
-                                      ? core::CostModel::from_bench_json(p.text("cost_model"))
-                                      : core::CostModel::defaults();
     const core::LeakageEstimate e = core::estimate_placed_budgeted(
         exact, rg, pl, req.time_budget_s, costs, req.exact_options, &g_run);
     std::printf("budgeted (%.3gs): mean %.4f uA, sigma %.4f uA [method %s]\n", req.time_budget_s,
@@ -309,6 +319,7 @@ int cmd_mc(const Params& p) {
   const double budget_s = p.number("time_budget_s", 0.0, Range::kPositive);
   const std::string lib_path = p.text("lib");
   const std::string netlist_path = p.text("netlist");
+  p.reject_unread();
   if (budget_s > 0.0) g_run.arm_budget(budget_s);
   const cells::StdCellLibrary& lib = cells::build_virtual90_library();
   const charlib::CharacterizedLibrary chars = charlib::load_characterization(lib, lib_path);
@@ -364,24 +375,24 @@ int cmd_batch(const Params& p) {
   opts.run = &g_run;
   opts.isolate = p.pick("isolate", "default", kIsolation).value;
   opts.isolate_grace_s = p.number("isolate_grace", opts.isolate_grace_s, Range::kNonNegative);
-  // Memory governance: the admission budget (predictive) and the process-wide
-  // reservation limit (enforcing) are set to the same ceiling.
+  // Memory governance: the per-job admission budget (predictive) and the
+  // process-wide reservation limit (enforcing) are set to the same ceiling.
   const std::uint64_t mem_budget =
       p.parse("mem_budget", "auto", [](const std::string& spec) -> std::uint64_t {
         if (spec == "auto") return util::detect_memory_limit();
         return spec == "none" ? 0 : util::parse_memory_size(spec);
       });
+  const std::string manifest = p.text("manifest");
+  const std::string journal_path = p.text("journal", "");
+  p.reject_unread();
 
   const cells::StdCellLibrary& lib = cells::build_virtual90_library();
-  const std::vector<service::JobSpec> jobs = service::load_manifest(p.text("manifest"));
-  service::Journal journal = service::Journal::open(p.text("journal", ""));
+  const std::vector<service::JobSpec> jobs = service::load_manifest(manifest);
+  service::Journal journal = service::Journal::open(journal_path);
   util::MemoryBudget::process().set_limit(mem_budget);
-  service::ResourceGovernor governor;
-  governor.mem_budget_bytes = mem_budget;
-  if (p.has("mem_model")) governor.costs = core::CostModel::from_bench_json(p.text("mem_model"));
 
   service::JobRunner runner(lib);
-  runner.set_governor(&governor);
+  runner.set_mem_budget(mem_budget);
   const service::BatchSummary s = [&] {
     // Scoped so the printer joins (and stops writing to stderr) before the
     // summary block below.
@@ -434,6 +445,7 @@ int cmd_gen_netlist(const Params& p) {
   const std::size_t n = p.count("gates", std::nullopt, 1);
   const netlist::UsageHistogram usage = service::usage_histogram(p, lib);
   math::Rng rng(p.seed("seed", 1));
+  p.reject_unread();
   const netlist::Netlist nl =
       netlist::generate_random_circuit(lib, usage, n, rng, netlist::UsageMatch::kExact,
                                        "generated");
@@ -449,7 +461,9 @@ int cmd_sweep(const Params& p) {
   const std::size_t from = p.count("gates_from", std::nullopt, 1);
   const std::size_t to = p.count("gates_to", std::nullopt, from);
   const std::size_t steps = p.count("steps", 8, 2);
-  const charlib::CharacterizedLibrary chars = charlib::load_characterization(lib, p.text("lib"));
+  const std::string lib_path = p.text("lib");
+  p.reject_unread();
+  const charlib::CharacterizedLibrary chars = charlib::load_characterization(lib, lib_path);
 
   core::EstimatorConfig cfg;
   cfg.run = &g_run;
@@ -484,7 +498,9 @@ int cmd_sweep(const Params& p) {
 int cmd_liberty(const Params& p) {
   const cells::StdCellLibrary& lib = cells::build_virtual90_library();
   const std::string out = p.text("out");
-  charlib::write_liberty(charlib::load_characterization(lib, p.text("lib")), out);
+  const std::string lib_path = p.text("lib");
+  p.reject_unread();
+  charlib::write_liberty(charlib::load_characterization(lib, lib_path), out);
   std::printf("wrote %s\n", out.c_str());
   return 0;
 }
@@ -492,6 +508,7 @@ int cmd_liberty(const Params& p) {
 int cmd_spice(const Params& p) {
   const cells::StdCellLibrary& lib = cells::build_virtual90_library();
   const std::string out = p.text("out");
+  p.reject_unread();
   cells::write_spice_library(lib, out);
   std::printf("wrote %s (%zu subcircuits)\n", out.c_str(), lib.size());
   return 0;
@@ -501,7 +518,9 @@ int cmd_corners(const Params& p) {
   const cells::StdCellLibrary& lib = cells::build_virtual90_library();
   const netlist::UsageHistogram usage = service::usage_histogram(p, lib);
   const std::size_t gates = p.count("gates", std::nullopt, 1);
-  const charlib::CharacterizedLibrary chars = charlib::load_characterization(lib, p.text("lib"));
+  const std::string lib_path = p.text("lib");
+  p.reject_unread();
+  const charlib::CharacterizedLibrary chars = charlib::load_characterization(lib, lib_path);
   const auto corners =
       core::standard_corners(chars.process().length().sigma_d2d_nm);
   const auto results =
@@ -522,7 +541,9 @@ int cmd_sensitivity(const Params& p) {
   const cells::StdCellLibrary& lib = cells::build_virtual90_library();
   const netlist::UsageHistogram usage = service::usage_histogram(p, lib);
   const std::size_t gates = p.count("gates", std::nullopt, 1);
-  const charlib::CharacterizedLibrary chars = charlib::load_characterization(lib, p.text("lib"));
+  const std::string lib_path = p.text("lib");
+  p.reject_unread();
+  const charlib::CharacterizedLibrary chars = charlib::load_characterization(lib, lib_path);
   const auto entries = core::process_sensitivities(lib, chars.process(), usage, gates);
   util::Table t({"knob", "base value", "dln(mean)/dln(x)", "dln(sigma)/dln(x)"});
   for (const auto& e : entries)
@@ -565,6 +586,9 @@ int main(int argc, char** argv) {
     // append to the same file (atomic single-write lines, no interleaving).
     if (p.has("trace")) util::trace::open(p.text("trace"));
     metrics_json_path = p.text("metrics_json", "");
+    // The other global flags every command accepts: --error-json was honored
+    // above, and --progress draws only for the commands that report it.
+    for (const char* global : {"error_json", "progress"}) (void)p.has(global);
     rc = [&]() -> int {
       if (cmd == "characterize") return cmd_characterize(p);
       if (cmd == "estimate") return cmd_estimate(p);
