@@ -28,7 +28,6 @@
 #include <cstdio>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -77,20 +76,14 @@ double cpu_ms_now() {
   return static_cast<double>(ts.tv_sec) * 1e3 + static_cast<double>(ts.tv_nsec) * 1e-6;
 }
 
-// One engine run timed on both clocks at once: wall (first) and process CPU
-// (second).
-std::pair<double, double> run_once_both(const placement::Placement& pl,
-                                        const mc::FullChipMcOptions& opts) {
+// Process CPU milliseconds of one engine run.
+double run_once_cpu(const placement::Placement& pl, const mc::FullChipMcOptions& opts) {
   mc::FullChipMonteCarlo engine(pl, bench::chars_analytic(), opts);
-  const auto w0 = std::chrono::steady_clock::now();
   const double c0 = cpu_ms_now();
   const mc::FullChipMcResult r = engine.run();
   const double cpu = cpu_ms_now() - c0;
-  const double wall = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - w0)
-                          .count();
   if (r.trials != opts.trials) std::fprintf(stderr, "short run: %zu trials\n", r.trials);
-  return {wall, cpu};
+  return cpu;
 }
 
 double run_once(const placement::Placement& pl, const mc::FullChipMcOptions& opts) {
@@ -215,33 +208,37 @@ int run_smoke() {
 
   // Observability budget: metrics-armed (the default config) vs metrics-off,
   // same seed and trial stream. The real cost is one relaxed fetch_add per
-  // ~0.2ms trial (≈0.005%), so what this guards against is a regression that
-  // drags heavy work into the loop. On a shared 1-CPU runner every single
-  // clock is noisy — wall time carries scheduler preemption and epoch-scale
-  // load drift (±5% and worse), and even process CPU time shows rare
-  // multi-run excursions — so the estimate is the MINIMUM over two
-  // independent estimators: best-of-N wall and best-of-N CPU, interleaved,
-  // on 4x-length runs. A real regression inflates both clocks at once;
-  // noise essentially never does.
-  mc::FullChipMcOptions metrics_on_long = serial;
-  metrics_on_long.trials = base.trials * 4;
-  mc::FullChipMcOptions metrics_off_long = metrics_off;
-  metrics_off_long.trials = base.trials * 4;
-  double on_wall = 1e300, on_cpu = 1e300, off_wall = 1e300, off_cpu = 1e300;
-  for (int r = 0; r < 9; ++r) {
-    const auto [w_on, c_on] = run_once_both(pl, metrics_on_long);
-    const auto [w_off, c_off] = run_once_both(pl, metrics_off_long);
-    on_wall = std::min(on_wall, w_on);
-    on_cpu = std::min(on_cpu, c_on);
-    off_wall = std::min(off_wall, w_off);
-    off_cpu = std::min(off_cpu, c_off);
+  // ~0.1 ms trial (~0.005%), so what this guards against is a regression
+  // that drags heavy work into the loop. On a shared runner every clock is
+  // noisy (single ~16 ms runs swing by +-30%), and wall and CPU time move
+  // together, so the estimate is paired instead: each pair runs both configs
+  // back to back on process CPU time (alternating which goes first), and the
+  // overhead is the median over many short pairs of (armed - off) / off.
+  // Load drift slower than a pair cancels inside it, and disturbed pairs, a
+  // minority, cannot move the median.
+  constexpr int kPairs = 101;
+  mc::FullChipMcOptions metrics_on_pair = serial;
+  metrics_on_pair.trials = base.trials * 2;
+  mc::FullChipMcOptions metrics_off_pair = metrics_off;
+  metrics_off_pair.trials = base.trials * 2;
+  std::vector<double> pair_pct;
+  double on_cpu = 0.0, off_cpu = 0.0;
+  for (int r = 0; r < kPairs; ++r) {
+    const bool on_first = r % 2 == 0;
+    const double first = run_once_cpu(pl, on_first ? metrics_on_pair : metrics_off_pair);
+    const double second = run_once_cpu(pl, on_first ? metrics_off_pair : metrics_on_pair);
+    const double on = on_first ? first : second;
+    const double off = on_first ? second : first;
+    on_cpu += on / kPairs;
+    off_cpu += off / kPairs;
+    pair_pct.push_back(100.0 * (on - off) / off);
   }
-  const double wall_pct = 100.0 * (on_wall - off_wall) / off_wall;
-  const double cpu_pct = 100.0 * (on_cpu - off_cpu) / off_cpu;
-  const double metrics_overhead_pct = std::min(wall_pct, cpu_pct);
-  std::printf("smoke: metrics overhead %+.2f%% (wall %+.2f%%, cpu %+.2f%%, best-of-9; "
-              "armed %.2f ms vs off %.2f ms cpu-time, budget 2%%)\n",
-              metrics_overhead_pct, wall_pct, cpu_pct, on_cpu, off_cpu);
+  std::sort(pair_pct.begin(), pair_pct.end());
+  const double metrics_overhead_pct = pair_pct[kPairs / 2];
+  std::printf("smoke: metrics overhead %+.2f%% (median of %d paired cpu-time differences, "
+              "range %+.2f%% to %+.2f%%; armed %.2f ms vs off %.2f ms mean cpu-time, "
+              "budget 2%%)\n",
+              metrics_overhead_pct, kPairs, pair_pct.front(), pair_pct.back(), on_cpu, off_cpu);
   if (metrics_overhead_pct > 2.0) {
     std::fprintf(stderr,
                  "smoke FAIL: metrics instrumentation costs %.2f%% of the MC trial loop, "

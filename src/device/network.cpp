@@ -1,8 +1,10 @@
 #include "device/network.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
+#include "math/root.h"
 #include "util/require.h"
 
 namespace rgleak::device {
@@ -67,6 +69,11 @@ void Network::collect_devices(std::vector<const NetworkDevice*>& out) const {
 
 namespace {
 
+// Solver tolerances: node voltages to this fraction of the chain's swing,
+// chain currents to this absolute error in ln I (relative error in I).
+constexpr double kVoltTolerance = 1e-15;
+constexpr double kLogTolerance = 1e-14;
+
 double device_current(const NetworkDevice& d, const NetworkEvalContext& ctx, double v_lo,
                       double v_hi) {
   RGLEAK_REQUIRE(ctx.tech != nullptr, "evaluation context missing technology");
@@ -90,34 +97,16 @@ double device_current(const NetworkDevice& d, const NetworkEvalContext& ctx, dou
 
 double element_current(const Network& n, const NetworkEvalContext& ctx, double v_lo, double v_hi);
 
-// Solves a series chain by current marching: for a trial chain current I,
-// walk the chain bottom-up inverting each element's monotone I-V curve to find
-// the voltage it consumes; the total consumed voltage is increasing in I, so
-// an outer bisection (in log-current, since stack currents span many decades)
-// pins the unique I whose march lands exactly on v_hi. Unlike nonlinear
-// Gauss-Seidel, this has no trouble with near-rigid links (an ON device
-// between OFF devices).
+// Solves a series chain for ln I. For a trial current I, march the chain
+// bottom-up, inverting every element but the last on its monotone I-V curve
+// for the voltage it consumes at I; the residual ln I - ln I_last(v, v_hi)
+// then rises with I and is continuous at the root. Once an element cannot
+// carry I even with the whole remaining swing across it, I is too large and
+// the residual is any positive value. Stack currents span many decades, and
+// an ON device next to an OFF one consumes ~1e-13 V, so the chain is solved
+// in log-current and each node voltage to a fixed fraction of the swing.
 double series_current(const Network& n, const NetworkEvalContext& ctx, double v_lo, double v_hi) {
   const auto& ch = n.children();
-
-  if (ch.size() == 2) {
-    // Fast path: one internal node; bisect the (non-decreasing in v) current
-    // mismatch I_below(v_lo, v) - I_above(v, v_hi) directly.
-    double lo = v_lo, hi = v_hi;
-    for (int it = 0; it < 70 && hi - lo > 1e-16; ++it) {
-      const double v = 0.5 * (lo + hi);
-      if (element_current(ch[0], ctx, v_lo, v) > element_current(ch[1], ctx, v, v_hi)) {
-        hi = v;
-      } else {
-        lo = v;
-      }
-    }
-    const double v = 0.5 * (lo + hi);
-    // Report the smaller side: at the bisection limit the two are equal to
-    // solver precision, and taking the min avoids overstating the current
-    // when the node sits against a rail.
-    return std::min(element_current(ch[0], ctx, v_lo, v), element_current(ch[1], ctx, v, v_hi));
-  }
 
   // Upper bound: no element can carry more than it would with the full swing
   // across it.
@@ -125,48 +114,26 @@ double series_current(const Network& n, const NetworkEvalContext& ctx, double v_
   for (const auto& c : ch) hi_i = std::min(hi_i, element_current(c, ctx, v_lo, v_hi));
   if (hi_i <= 0.0) return 0.0;
 
-  // Inverts one element: the voltage v_above in [v_below, v_hi] at which the
-  // element carries current i. Returns v_hi + 1 when even the full remaining
-  // swing cannot carry i (the march overshoots).
-  const auto invert = [&](const Network& e, double v_below, double i) {
-    if (element_current(e, ctx, v_below, v_hi) < i) return v_hi + 1.0;
-    double lo = v_below, hi = v_hi;
-    for (int it = 0; it < 64 && hi - lo > 1e-15; ++it) {
-      const double mid = 0.5 * (lo + hi);
-      if (element_current(e, ctx, v_below, mid) < i) {
-        lo = mid;
-      } else {
-        hi = mid;
-      }
-    }
-    return 0.5 * (lo + hi);
-  };
-
-  // March the chain for current i; returns the top voltage reached (or the
-  // overshoot marker > v_hi).
-  const auto march = [&](double i) {
+  const double v_tol = kVoltTolerance * (v_hi - v_lo);
+  const auto residual = [&](double log_i) {
+    const double i = std::exp(log_i);
     double v = v_lo;
-    for (const auto& c : ch) {
-      v = invert(c, v, i);
-      if (v > v_hi) return v;
+    for (std::size_t k = 0; k + 1 < ch.size(); ++k) {
+      const double v_below = v;
+      v = math::brent_root(
+          [&](double v_above) { return element_current(ch[k], ctx, v_below, v_above) - i; },
+          v_below, v_hi, v_tol);
+      if (v >= v_hi) return 1.0;
     }
-    return v;
+    const double i_last = element_current(ch.back(), ctx, v, v_hi);
+    return i_last > 0.0 ? log_i - std::log(i_last) : 1.0;
   };
 
-  // Outer bisection on ln(I). The chain current cannot be more than ~e^53
-  // below the weakest element's full-swing current (ON/OFF current ratio
-  // bound), so 1e-36 relative is a safe floor.
-  double lo_log = std::log(hi_i * 1e-36);
-  double hi_log = std::log(hi_i);
-  for (int it = 0; it < 90; ++it) {
-    const double mid = 0.5 * (lo_log + hi_log);
-    if (march(std::exp(mid)) >= v_hi) {
-      hi_log = mid;
-    } else {
-      lo_log = mid;
-    }
-  }
-  return std::exp(0.5 * (lo_log + hi_log));
+  // The chain current cannot be more than ~e^53 below the weakest element's
+  // full-swing current (ON/OFF current ratio bound), so 1e-36 relative is a
+  // safe floor.
+  const double hi_log = std::log(hi_i);
+  return std::exp(math::brent_root(residual, hi_log + std::log(1e-36), hi_log, kLogTolerance));
 }
 
 double element_current(const Network& n, const NetworkEvalContext& ctx, double v_lo, double v_hi) {

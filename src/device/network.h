@@ -3,12 +3,14 @@
 //
 // A cell's pull-up and pull-down networks are series/parallel trees of
 // devices. For a given input state, the leakage through the network between
-// two rails is found by enforcing current continuity at the internal nodes:
-// every element's current is monotone in its terminal voltages, so a
-// nonlinear Gauss–Seidel sweep with safeguarded scalar root-finding converges
-// rapidly. This reproduces the transistor "stack effect" (a 2-stack leaks
-// ~10x less than a single off device), which is the logic-structure dependence
-// the paper's cell pre-characterization captures.
+// two rails is found by enforcing current continuity at the internal nodes.
+// Every element's current is monotone in its terminal voltages, so a series
+// chain of any length is one scalar root in ln I: march the chain from the
+// low rail, inverting each element on its I-V curve, until the last element's
+// current matches. Both that root and each inversion are bracketed Brent
+// solves (math/root.h). This reproduces the transistor "stack effect" (a
+// 2-stack leaks ~10x less than a single off device), which is the
+// logic-structure dependence the paper's cell pre-characterization captures.
 
 #include <span>
 #include <vector>
@@ -62,9 +64,8 @@ struct NetworkEvalContext {
 };
 
 /// Current (nA) flowing through the network from the node at `v_hi_v` to the
-/// node at `v_lo_v`. Requires v_hi_v >= v_lo_v. Throws NumericalError if the
-/// internal-node solve fails to converge (does not happen for valid
-/// series/parallel trees of monotone devices).
+/// node at `v_lo_v`. Requires v_hi_v >= v_lo_v. Series chains are solved to
+/// ~1e-14 relative in the current.
 double network_current(const Network& network, const NetworkEvalContext& ctx, double v_lo_v,
                        double v_hi_v);
 

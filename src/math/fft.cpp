@@ -20,62 +20,6 @@ std::size_t next_pow2(std::size_t n) {
   return p;
 }
 
-void fft(std::vector<std::complex<double>>& a, bool inverse) {
-  const std::size_t n = a.size();
-  RGLEAK_REQUIRE(is_pow2(n), "fft size must be a power of two");
-  if (n <= 1) return;
-
-  // Bit-reversal permutation.
-  for (std::size_t i = 1, j = 0; i < n; ++i) {
-    std::size_t bit = n >> 1;
-    for (; j & bit; bit >>= 1) j ^= bit;
-    j ^= bit;
-    if (i < j) std::swap(a[i], a[j]);
-  }
-
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const double ang = 2.0 * M_PI / static_cast<double>(len) * (inverse ? 1.0 : -1.0);
-    const std::complex<double> wl(std::cos(ang), std::sin(ang));
-    for (std::size_t i = 0; i < n; i += len) {
-      std::complex<double> w(1.0, 0.0);
-      for (std::size_t k = 0; k < len / 2; ++k) {
-        const std::complex<double> u = a[i + k];
-        const std::complex<double> v = a[i + k + len / 2] * w;
-        a[i + k] = u + v;
-        a[i + k + len / 2] = u - v;
-        w *= wl;
-      }
-    }
-  }
-  if (inverse) {
-    const double inv = 1.0 / static_cast<double>(n);
-    for (auto& x : a) x *= inv;
-  }
-}
-
-void fft2d(std::vector<std::complex<double>>& data, std::size_t rows, std::size_t cols,
-           bool inverse) {
-  RGLEAK_REQUIRE(data.size() == rows * cols, "fft2d: data size mismatch");
-  RGLEAK_REQUIRE(is_pow2(rows) && is_pow2(cols), "fft2d dims must be powers of two");
-
-  std::vector<std::complex<double>> scratch(std::max(rows, cols));
-  // Rows.
-  for (std::size_t r = 0; r < rows; ++r) {
-    scratch.assign(data.begin() + static_cast<std::ptrdiff_t>(r * cols),
-                   data.begin() + static_cast<std::ptrdiff_t>((r + 1) * cols));
-    fft(scratch, inverse);
-    std::copy(scratch.begin(), scratch.end(),
-              data.begin() + static_cast<std::ptrdiff_t>(r * cols));
-  }
-  // Columns.
-  for (std::size_t c = 0; c < cols; ++c) {
-    scratch.resize(rows);
-    for (std::size_t r = 0; r < rows; ++r) scratch[r] = data[r * cols + c];
-    fft(scratch, inverse);
-    for (std::size_t r = 0; r < rows; ++r) data[r * cols + c] = scratch[r];
-  }
-}
-
 FftPlan::FftPlan(std::size_t n) : n_(n) {
   RGLEAK_REQUIRE(is_pow2(n), "fft plan size must be a power of two");
   // The twiddle/bit-reversal tables are the plan's arena; an injected (or

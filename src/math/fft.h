@@ -1,7 +1,7 @@
 #pragma once
-// Radix-2 complex FFT (1-D and 2-D). Substrate for the circulant-embedding
-// sampler of spatially correlated channel-length fields (process module) and
-// for the exact estimator's offset sums (folded 2-D autocorrelations).
+// Radix-2 complex FFT plans. Substrate for the circulant-embedding sampler of
+// spatially correlated channel-length fields (process module) and for the
+// exact estimator's offset sums (folded 2-D autocorrelations).
 
 #include <complex>
 #include <cstddef>
@@ -14,14 +14,6 @@ class ThreadPool;
 }  // namespace rgleak::util
 
 namespace rgleak::math {
-
-/// In-place iterative radix-2 Cooley–Tukey FFT. Size must be a power of two.
-/// `inverse` applies the conjugate transform and 1/N scaling.
-void fft(std::vector<std::complex<double>>& data, bool inverse);
-
-/// 2-D FFT over a rows x cols row-major array; both dims must be powers of two.
-void fft2d(std::vector<std::complex<double>>& data, std::size_t rows, std::size_t cols,
-           bool inverse);
 
 /// Smallest power of two >= n (n >= 1).
 std::size_t next_pow2(std::size_t n);
@@ -51,8 +43,9 @@ class FftPlan {
   }
   std::size_t plan_bytes() const { return table_bytes(n_); }
 
-  /// In-place transform of `a[0..n)`. Same transform (and scaling convention)
-  /// as fft(): `inverse` conjugates the twiddles and applies 1/N.
+  /// In-place radix-2 Cooley–Tukey transform of `a[0..n)`: X_k =
+  /// sum_j a_j e^{-2 pi i jk/n}; `inverse` conjugates the twiddles and
+  /// applies 1/N.
   void run(std::complex<double>* a, bool inverse) const;
 
   /// run() without the inverse's 1/N pass. Callers that already multiply

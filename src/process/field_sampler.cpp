@@ -52,21 +52,27 @@ GridFieldSampler::GridFieldSampler(std::size_t rows, std::size_t cols, double dx
   // here is translated to ResourceError by callers.
   RGLEAK_FAILPOINT("process.sampler.alloc");
 
-  // First row of the block-circulant covariance: wrap-around distances.
+  // First row of the block-circulant covariance (wrap-around distances),
+  // column-major like the draw's noise.
   std::vector<std::complex<double>> kernel(prow_ * pcol_);
   const double var = sigma * sigma;
-  for (std::size_t r = 0; r < prow_; ++r) {
-    const std::size_t wr = std::min(r, prow_ - r);
-    const double dyv = static_cast<double>(wr) * dy_nm;
-    for (std::size_t c = 0; c < pcol_; ++c) {
-      const std::size_t wc = std::min(c, pcol_ - c);
-      const double dxv = static_cast<double>(wc) * dx_nm;
-      const double d = std::hypot(dxv, dyv);
-      kernel[r * pcol_ + c] = var * rho(d);
+  for (std::size_t c = 0; c < pcol_; ++c) {
+    const double dxv = static_cast<double>(std::min(c, pcol_ - c)) * dx_nm;
+    for (std::size_t r = 0; r < prow_; ++r) {
+      const double dyv = static_cast<double>(std::min(r, prow_ - r)) * dy_nm;
+      kernel[c * prow_ + r] = var * rho(std::hypot(dxv, dyv));
     }
   }
 
-  math::fft2d(kernel, prow_, pcol_, /*inverse=*/false);
+  // Its 2-D transform is the eigenvalue table, on the draw's own plans: each
+  // column in place, then each row through a gather buffer.
+  for (std::size_t c = 0; c < pcol_; ++c) col_fft_.run(kernel.data() + c * prow_, false);
+  std::vector<std::complex<double>> row(pcol_);
+  for (std::size_t r = 0; r < prow_; ++r) {
+    for (std::size_t c = 0; c < pcol_; ++c) row[c] = kernel[c * prow_ + r];
+    row_fft_.run(row.data(), false);
+    for (std::size_t c = 0; c < pcol_; ++c) kernel[c * prow_ + r] = row[c];
+  }
 
   // The inverse column and row transforms' 1/prow_ and 1/pcol_ passes fold
   // in here. Both are powers of two, so the product is exact and scaling the
@@ -75,14 +81,12 @@ GridFieldSampler::GridFieldSampler(std::size_t rows, std::size_t cols, double dx
   const double inv_np = 1.0 / static_cast<double>(prow_) / static_cast<double>(pcol_);
   sqrt_eig_.resize(prow_ * pcol_);
   double max_eig = 0.0, worst_neg = 0.0;
-  for (std::size_t r = 0; r < prow_; ++r)
-    for (std::size_t c = 0; c < pcol_; ++c) {
-      const double lambda = kernel[r * pcol_ + c].real();  // imaginary parts are FFT noise
-      max_eig = std::max(max_eig, lambda);
-      worst_neg = std::min(worst_neg, lambda);
-      // Column-major: matches the noise layout of sample_into.
-      sqrt_eig_[c * prow_ + r] = (lambda > 0.0 ? std::sqrt(lambda) : 0.0) * inv_np;
-    }
+  for (std::size_t i = 0; i < prow_ * pcol_; ++i) {
+    const double lambda = kernel[i].real();  // imaginary parts are FFT noise
+    max_eig = std::max(max_eig, lambda);
+    worst_neg = std::min(worst_neg, lambda);
+    sqrt_eig_[i] = (lambda > 0.0 ? std::sqrt(lambda) : 0.0) * inv_np;
+  }
   clamped_fraction_ = max_eig > 0.0 ? -worst_neg / max_eig : 0.0;
 
   // Mild clamping (imperfect embedding of a valid kernel) is expected —

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "math/root.h"
 #include "util/require.h"
 
 namespace rgleak::process {
@@ -69,17 +70,10 @@ double Matern32Correlation::operator()(double d) const {
 }
 
 double Matern32Correlation::range_nm() const {
-  // Solve (1 + r) e^-r = kNegligible by bisection.
-  double lo = 0.0, hi = 100.0;
-  for (int it = 0; it < 100; ++it) {
-    const double mid = 0.5 * (lo + hi);
-    if ((1.0 + mid) * std::exp(-mid) > kNegligible) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return 0.5 * (lo + hi) * lc_ / std::sqrt(3.0);
+  // Solve (1 + r) e^-r = kNegligible.
+  const double r = math::brent_root(
+      [](double x) { return kNegligible - (1.0 + x) * std::exp(-x); }, 0.0, 100.0, 0.0);
+  return r * lc_ / std::sqrt(3.0);
 }
 
 PowerExponentialCorrelation::PowerExponentialCorrelation(double correlation_length_nm,
@@ -101,17 +95,8 @@ double PowerExponentialCorrelation::range_nm() const {
 double correlation_scale_nm(const SpatialCorrelation& corr) {
   const std::string name = corr.name();
   if (name == "linear" || name == "spherical") return corr.range_nm();
-  double lo = 0.0, hi = corr.range_nm();
   const double target = std::exp(-1.0);
-  for (int it = 0; it < 200; ++it) {
-    const double mid = 0.5 * (lo + hi);
-    if (corr(mid) > target) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return 0.5 * (lo + hi);
+  return math::brent_root([&](double d) { return target - corr(d); }, 0.0, corr.range_nm(), 0.0);
 }
 
 std::shared_ptr<const SpatialCorrelation> make_correlation(const std::string& name,

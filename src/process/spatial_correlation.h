@@ -116,7 +116,7 @@ std::shared_ptr<const SpatialCorrelation> make_correlation(const std::string& na
                                                            double scale_nm);
 
 /// Recovers the scale parameter a factory family was built from: the support
-/// radius for compact models, else the distance where rho = e^-1 (bisected).
+/// radius for compact models, else the distance where rho = e^-1 (a Brent root).
 /// Used by serialization and by sensitivity sweeps that rescale the model.
 double correlation_scale_nm(const SpatialCorrelation& corr);
 

@@ -172,7 +172,9 @@ JobOutput JobRunner::run_mc(const JobSpec& job, const util::RunControl* watchdog
 
   // Memory admission: MC has no cheaper rung, so it halves its workers (a
   // request for all cores counting as one) until the bytes the engine will
-  // reserve fit. Without one worker's worth it is refused, typed.
+  // reserve fit. Without one worker's worth it is refused as a configuration
+  // error: the budget is fixed for the run, so a retry would meet the same
+  // refusal.
   JobOutput out;
   if (mem_budget_bytes_ > 0) {
     const auto bytes = [&](std::size_t threads) {
@@ -182,9 +184,9 @@ JobOutput JobRunner::run_mc(const JobSpec& job, const util::RunControl* watchdog
     opts.threads = requested;
     while (opts.threads > 1 && bytes(opts.threads) > mem_budget_bytes_) opts.threads /= 2;
     if (bytes(opts.threads) > mem_budget_bytes_)
-      throw ResourceError("admission: mc at " + std::to_string(fp.num_sites()) + " sites needs " +
-                          std::to_string(bytes(1)) + " bytes even with a single worker, over the " +
-                          std::to_string(mem_budget_bytes_) + "-byte memory budget");
+      throw ConfigError("admission: mc at " + std::to_string(fp.num_sites()) + " sites needs " +
+                        std::to_string(bytes(1)) + " bytes even with a single worker, over the " +
+                        std::to_string(mem_budget_bytes_) + "-byte memory budget");
     if (opts.threads != requested)
       out.degradation = "mem: mc threads " + std::to_string(requested) + "->" +
                         std::to_string(opts.threads);

@@ -97,6 +97,26 @@ TEST(Network, OnDeviceInSeriesIsTransparent) {
   EXPECT_LT(i, 1.5 * single);
 }
 
+TEST(Network, OnDeviceOnTheSourceSideCarriesTheOffCurrent) {
+  // An ON device between an OFF device's source and its rail drops ~1e-13 V,
+  // so the pair carries the lone OFF device's current. The node then sits
+  // within a few hundred ULPs of the rail, where one ULP moves the ON
+  // device's current by ~1e-4: the pair must be solved for the current, not
+  // read off either side of a node voltage.
+  Ctx c({0.0, 1.0});  // signal 0 low, signal 1 high
+  const Network nmos_pair =
+      Network::series({Network::device(nmos(1)), Network::device(nmos(0))});  // ON below
+  const Network pmos_pair =
+      Network::series({Network::device(pmos(1)), Network::device(pmos(0))});  // ON above
+  for (const double l : {34.0, 40.0, 46.0}) {
+    c.ctx.l_nm = l;
+    const double n_off = network_current(Network::device(nmos(0)), c.ctx, 0.0, 1.0);
+    const double p_off = network_current(Network::device(pmos(1)), c.ctx, 0.0, 1.0);
+    EXPECT_NEAR(network_current(nmos_pair, c.ctx, 0.0, 1.0), n_off, 1e-10 * n_off) << "L " << l;
+    EXPECT_NEAR(network_current(pmos_pair, c.ctx, 0.0, 1.0), p_off, 1e-10 * p_off) << "L " << l;
+  }
+}
+
 TEST(Network, MiddleOnDeviceThreeStack) {
   // OFF / ON / OFF: the pathological case for naive nodal iteration. The
   // result must be close to a 2-stack of the OFF devices.

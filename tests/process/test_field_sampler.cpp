@@ -111,13 +111,14 @@ TEST(GridFieldSampler, SampleIntoMatchesSampleStream) {
   EXPECT_EQ(ra(), rb());  // streams stayed in lockstep
 }
 
-// Bit-exact draws recorded before the fused per-column draw replaced the
-// whole-grid fill and two-pass std::complex FFT (which scaled by 1/N after
-// each pass): the rework keeps every floating-point operation on the kept
-// outputs, so MC samples and checkpoints do not move. Three draws per
-// sampler (an FFT draw, its cached second field, the next FFT draw), each
-// pinned at five sites and by its sum and sum of squares in index order,
-// then the next engine word.
+// Bit-exact draws, re-pinned when the one-time eigenvalue transform moved
+// from the std::complex fft2d (rows, then columns) onto the sampler's own
+// FftPlan column and row plans (columns, then rows): the eigenvalues move by
+// rounding, so every draw moves by rounding too (a pinned site by at most
+// 1.6e-11 of the field's sigma). The per-draw arithmetic is unchanged.
+// Three draws per sampler (an FFT draw, its cached second field, the next
+// FFT draw), each pinned at five sites and by its sum and sum of squares in
+// index order, then the next engine word.
 struct GoldenDraw {
   double sum, sq;
   double at[5];
@@ -153,18 +154,18 @@ TEST(GridFieldSampler, DrawMatchesParentGolden) {
   ASSERT_EQ(bench.padded_cols(), 256u);
   expect_golden_draws(
       bench, 4242, {0, 1, 47, 1176, 2303},
-      {{-0x1.413a7c4b11ffbp+5,
-        0x1.03bbbe7269149p+10,
-        {0x1.7b616bc1fdf13p-1, 0x1.8fe3eaba79a5cp-1, 0x1.9e80774043482p-1,
-         -0x1.94141b5643b92p-2, 0x1.629ca44c2c2b1p-2}},
-       {-0x1.f5fc7a97d11cep+9,
-        0x1.fcb8120ed8e9ap+10,
-        {0x1.5a30b1922a1b8p-4, 0x1.6b9d3e8fd3d5bp-2, -0x1.12c7e7c2d7663p-3,
-         -0x1.635955a6b1626p+0, -0x1.4c8880a01ea58p-1}},
-       {-0x1.c3b08c49d863p+11,
-        0x1.b3b7fb149cd6p+12,
-        {-0x1.1c54ccdd0ff9ap+1, -0x1.1bb48861880d5p+1, 0x1.28dd1f03f0fb1p-1,
-         -0x1.1ec41598819bp+0, -0x1.5c247870b49p+1}}},
+      {{-0x1.413a7c4b1211p+5,
+        0x1.03bbbe7269152p+10,
+        {0x1.7b616bc1fe115p-1, 0x1.8fe3eaba79a22p-1, 0x1.9e807740438a1p-1,
+         -0x1.94141b56439adp-2, 0x1.629ca44c2c94dp-2}},
+       {-0x1.f5fc7a97d11dap+9,
+        0x1.fcb8120ed8e9bp+10,
+        {0x1.5a30b1922961cp-4, 0x1.6b9d3e8fd4209p-2, -0x1.12c7e7c2d827cp-3,
+         -0x1.635955a6b1386p+0, -0x1.4c8880a01edc7p-1}},
+       {-0x1.c3b08c49d8621p+11,
+        0x1.b3b7fb149cd62p+12,
+        {-0x1.1c54ccdd10207p+1, -0x1.1bb4886188066p+1, 0x1.28dd1f03f1471p-1,
+         -0x1.1ec4159881a65p+0, -0x1.5c247870b4a59p+1}}},
       8088735770663940279ull);
 
   // Non-square and anisotropic: a 12x30 grid whose embedding is 32x64, so
@@ -178,18 +179,18 @@ TEST(GridFieldSampler, DrawMatchesParentGolden) {
   ASSERT_EQ(skewed.padded_cols(), 64u);
   expect_golden_draws(
       skewed, 77, {0, 1, 29, 185, 359},
-      {{-0x1.51071d477617cp+7,
-        0x1.d65d45816574ap+9,
-        {-0x1.7c446e4afd3f6p+0, -0x1.98f472d2368e5p+0, -0x1.81572f1d9d165p+1,
-         0x1.1125b1c3f6719p-4, 0x1.47cc5888dc795p+0}},
-       {0x1.08331d05ccb0fp+6,
-        0x1.f699aa76213a9p+9,
-        {-0x1.8ebffaf474119p-2, -0x1.f31022c6caef9p-2, 0x1.bcb23e85a3964p+0,
-         0x1.b2e2f2b306e6ep+1, 0x1.fdbf801a91f05p-1}},
-       {-0x1.c2ac0179227bcp+5,
-        0x1.23334c72a93d1p+10,
-        {-0x1.2fe59266d81c2p+0, -0x1.5ca7147e4c4afp+0, -0x1.613a2610f4afdp+0,
-         -0x1.732f651a1ce92p-1, -0x1.ae2d16ce355dcp-1}}},
+      {{-0x1.51071d4776412p+7,
+        0x1.d65d458165797p+9,
+        {-0x1.7c446e4af768ap+0, -0x1.98f472d23843ap+0, -0x1.81572f1d99dc5p+1,
+         0x1.1125b1c3a6a98p-4, 0x1.47cc5888e4e66p+0}},
+       {0x1.08331d05cca67p+6,
+        0x1.f699aa76212fep+9,
+        {-0x1.8ebffaf483575p-2, -0x1.f31022c6ca97p-2, 0x1.bcb23e859eb1bp+0,
+         0x1.b2e2f2b303471p+1, 0x1.fdbf801a9d0ddp-1}},
+       {-0x1.c2ac0179220ap+5,
+        0x1.23334c72a9426p+10,
+        {-0x1.2fe59266d9f94p+0, -0x1.5ca7147e47fd6p+0, -0x1.613a2610f7c0cp+0,
+         -0x1.732f651a1d3d2p-1, -0x1.ae2d16ce2109ep-1}}},
       9712174601488965316ull);
 }
 

@@ -1,9 +1,10 @@
 // Resource governance end to end: a 64-job mixed batch under memory budgets
 // set on the arena formulas of its fixtures (core/cost_model.h) completes
 // with zero crashes, walks the admission ladder deterministically, and
-// rejects what cannot fit with typed ResourceErrors; the ladder's whole
-// trail reaches the journal; injected std::bad_alloc at every charged arena
-// surfaces as a located, retryable resource failure the batch recovers from.
+// refuses an MC job that cannot fit one worker as a config error, once; the
+// ladder's whole trail reaches the journal; injected std::bad_alloc at every
+// charged arena surfaces as a located, retryable resource failure the batch
+// recovers from.
 
 #include <gtest/gtest.h>
 
@@ -212,8 +213,11 @@ TEST(ResourceGovernance, FftJobsDegradeToDirectUnderTightBudget) {
       EXPECT_EQ(rec.status, JobStatus::kSucceeded) << id;
       EXPECT_EQ(rec.degradation, "mem: exact_fft->exact_direct") << id;
     } else if (id.find("-mc") != std::string::npos) {
+      // Refused against a budget that cannot grow: a config failure, never
+      // retried.
       EXPECT_EQ(rec.status, JobStatus::kFailed) << id << ": one MC worker must not fit";
-      EXPECT_NE(rec.error.find("\"error\":\"resource\""), std::string::npos) << id;
+      EXPECT_NE(rec.error.find("\"error\":\"config\""), std::string::npos) << id;
+      EXPECT_EQ(rec.attempts, 1) << id;
     } else {
       EXPECT_EQ(rec.status, JobStatus::kSucceeded) << id << ": " << rec.error;
       EXPECT_TRUE(rec.degradation.empty()) << id << ": " << rec.degradation;

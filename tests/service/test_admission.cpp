@@ -22,6 +22,7 @@
 #include "mc/full_chip_mc.h"
 #include "netlist/io.h"
 #include "netlist/random_circuit.h"
+#include "service/batch_runner.h"
 #include "service/job_runner.h"
 #include "test_util.h"
 #include "util/error.h"
@@ -237,15 +238,36 @@ TEST(AdmitMc, AutoThreadsResolveToOneUnderPressure) {
 }
 
 TEST(AdmitMc, SingleWorkerMissIsTypedRejection) {
+  // The budget cannot grow during a run, so the refusal is a configuration
+  // error (never retried), not transient resource pressure.
   std::uint64_t peak = 0;
   try {
     run_alone(mc_job(4), mc_bytes(1) - 1, &peak);
-    FAIL() << "expected ResourceError";
-  } catch (const ResourceError& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kResource);
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kConfig);
     EXPECT_NE(std::string(e.what()).find("single worker"), std::string::npos) << e.what();
   }
   EXPECT_EQ(util::MemoryBudget::process().peak(), 0u) << "refused before reserving";
+}
+
+TEST(AdmitMc, BatchJournalsTheRefusalAfterOneAttempt) {
+  util::MemoryBudget::process().set_limit(0);
+  JobRunner runner(mini_library());
+  runner.set_mem_budget(mc_bytes(1) - 1);
+  Journal journal = Journal::open("");
+  BatchOptions opts;
+  opts.retry.max_attempts = 3;
+  opts.retry.backoff.base_ms = 0.0;
+  opts.isolate = ExecIsolation::kInProcess;
+  const BatchSummary s = run_batch({mc_job(4)}, runner, journal, opts);
+  EXPECT_EQ(s.failed, 1u);
+  EXPECT_EQ(s.retries, 0u);
+  const JobRecord rec = journal.records().at("mc");
+  EXPECT_EQ(rec.attempts, 1);
+  EXPECT_NE(rec.error.find("\"error\":\"config\""), std::string::npos) << rec.error;
+  const std::string json = journal_record_json(rec);
+  EXPECT_NE(json.find("\"attempts\":1"), std::string::npos) << json;
 }
 
 TEST(CostModel, StructuralFormulasAreMonotonicInProblemSize) {

@@ -162,10 +162,12 @@ TEST_F(CliParams, UnreadFlagIsAUsageError) {
 // The governance recipe's three-job batch: an early estimate, an exact FFT
 // netlist job and an MC job on the 400-gate design, whose 20x20 grid has
 // arenas of 12,856 B (direct), 33,280 B (FFT) and 447,264 B per MC worker
-// (a 128x128 embedding). Returns the journal's record line per job id.
+// (a 128x128 embedding). Returns the journal's record line per job id, and
+// the batch's stdout summary in `summary` when given.
 std::map<std::string, std::string> run_governed_batch(const std::string& lib,
                                                       const std::string& netlist400,
-                                                      const std::string& mem_budget, int* rc) {
+                                                      const std::string& mem_budget, int* rc,
+                                                      std::string* summary = nullptr) {
   const std::string manifest = temp_path("rgleak_cli_gov.jsonl");
   const std::string journal = temp_path("rgleak_cli_gov.journal");
   std::ofstream(manifest)
@@ -175,9 +177,16 @@ std::map<std::string, std::string> run_governed_batch(const std::string& lib,
       << netlist400 << "\",\"exact\":\"true\",\"exact_method\":\"fft\"}\n"
       << "{\"id\":\"m\",\"kind\":\"mc\",\"lib\":\"" << lib << "\",\"netlist\":\""
       << netlist400 << "\",\"trials\":\"20\"}\n";
+  const std::string out = temp_path("rgleak_cli_gov.out");
   std::remove(journal.c_str());
   *rc = run_cli("batch --manifest " + manifest + " --journal " + journal + " --mem-budget " +
-                mem_budget);
+                    mem_budget,
+                out);
+  if (summary != nullptr) {
+    std::ifstream text(out);
+    summary->assign(std::istreambuf_iterator<char>(text), std::istreambuf_iterator<char>());
+  }
+  std::remove(out.c_str());
   std::map<std::string, std::string> records;
   std::ifstream in(journal);
   for (std::string line; std::getline(in, line);)
@@ -190,15 +199,23 @@ std::map<std::string, std::string> run_governed_batch(const std::string& lib,
 
 TEST_F(CliParams, MemBudgetBetweenTheExactArenasDegradesFftAndRefusesMc) {
   int rc = 0;
-  auto records = run_governed_batch(lib(), netlist400(), "20k", &rc);
+  std::string summary;
+  auto records = run_governed_batch(lib(), netlist400(), "20k", &rc, &summary);
   EXPECT_EQ(rc, 7);
+  // A sub-MiB budget and charge are printed to the byte: the direct arena is
+  // the peak.
+  EXPECT_NE(summary.find("mem budget   : 20480 bytes (peak charged 12856 bytes)"),
+            std::string::npos)
+      << summary;
   EXPECT_NE(records["f"].find("\"method\":\"exact_direct\""), std::string::npos) << records["f"];
   EXPECT_NE(records["f"].find("\"degradation\":\"mem: exact_fft->exact_direct\""),
             std::string::npos)
       << records["f"];
   // The failed record embeds the error report as an escaped JSON string.
   EXPECT_NE(records["m"].find(R"("status":"failed")"), std::string::npos) << records["m"];
-  EXPECT_NE(records["m"].find(R"(\"error\":\"resource\")"), std::string::npos) << records["m"];
+  // The budget is fixed for the run: refused once, as a config error.
+  EXPECT_NE(records["m"].find(R"(\"error\":\"config\")"), std::string::npos) << records["m"];
+  EXPECT_NE(records["m"].find(R"("attempts":1,)"), std::string::npos) << records["m"];
   EXPECT_NE(records["e"].find("\"method\":\"linear\""), std::string::npos) << records["e"];
   EXPECT_EQ(records["e"].find("degradation"), std::string::npos) << records["e"];
 }

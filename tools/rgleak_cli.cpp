@@ -400,9 +400,9 @@ int cmd_batch(const Params& p) {
     return service::run_batch(jobs, runner, journal, opts);
   }();
   if (mem_budget > 0)
-    std::printf("mem budget   : %.1f MiB (peak charged %.1f MiB)\n",
-                static_cast<double>(mem_budget) / (1024.0 * 1024.0),
-                static_cast<double>(util::MemoryBudget::process().peak()) / (1024.0 * 1024.0));
+    std::printf("mem budget   : %llu bytes (peak charged %llu bytes)\n",
+                static_cast<unsigned long long>(mem_budget),
+                static_cast<unsigned long long>(util::MemoryBudget::process().peak()));
 
   std::printf("jobs         : %zu", s.total);
   if (s.skipped > 0) std::printf("  (%zu already done, skipped)", s.skipped);
