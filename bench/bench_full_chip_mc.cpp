@@ -12,8 +12,9 @@
 // `bench_full_chip_mc --mc-json[=PATH]` writes the records to
 // BENCH_full_chip_mc.json in addition to the stdout table. The JSON carries
 // the runner's CPU count (thread-scaling numbers are only meaningful
-// relative to it — a 1-CPU container cannot show wall-clock speedup) plus
-// each record's peak RSS and MemoryBudget high-water mark.
+// relative to it — a 1-CPU container cannot show wall-clock speedup), each
+// record's best, median and worst wall time over the repetitions (the
+// spread), plus its peak RSS and MemoryBudget high-water mark.
 //
 // `bench_full_chip_mc --smoke` runs a tiny CI-sized configuration and exits
 // non-zero if threaded throughput falls below serial — the regression guard
@@ -56,7 +57,9 @@ struct McRecord {
   std::size_t trials = 0;
   std::size_t threads = 0;
   std::size_t sites = 0;
-  double wall_ms = 0.0;
+  double wall_ms = 0.0;  ///< best of the repetitions
+  double median_ms = 0.0;
+  double worst_ms = 0.0;
   double trials_per_s = 0.0;
   /// Wall-clock overhead vs. the matching baseline config, in percent.
   double overhead_pct = 0.0;
@@ -95,17 +98,28 @@ double run_once(const placement::Placement& pl, const mc::FullChipMcOptions& opt
   return std::chrono::duration<double, std::milli>(t1 - t0).count();
 }
 
-/// Best-of-reps wall time for each option set, interleaved round-robin so
-/// slow drift in machine load lands on every configuration equally rather
-/// than biasing whichever ran last.
-std::vector<double> best_of_interleaved(const placement::Placement& pl,
-                                        const std::vector<mc::FullChipMcOptions>& variants,
-                                        int reps) {
-  std::vector<double> best(variants.size(), 1e300);
+/// Best, median and worst of a configuration's repetitions.
+struct Spread {
+  double best = 0.0, median = 0.0, worst = 0.0;
+
+  explicit Spread(std::vector<double> ms) {
+    std::sort(ms.begin(), ms.end());
+    best = ms.front();
+    median = ms[ms.size() / 2];
+    worst = ms.back();
+  }
+};
+
+/// Wall-time spread of each option set over `reps` runs, interleaved
+/// round-robin so slow drift in machine load lands on every configuration
+/// equally rather than biasing whichever ran last.
+std::vector<Spread> interleaved_spread(const placement::Placement& pl,
+                                       const std::vector<mc::FullChipMcOptions>& variants,
+                                       int reps) {
+  std::vector<std::vector<double>> ms(variants.size());
   for (int r = 0; r < reps; ++r)
-    for (std::size_t v = 0; v < variants.size(); ++v)
-      best[v] = std::min(best[v], run_once(pl, variants[v]));
-  return best;
+    for (std::size_t v = 0; v < variants.size(); ++v) ms[v].push_back(run_once(pl, variants[v]));
+  return {ms.begin(), ms.end()};
 }
 
 /// Runs the engine once per option set, directly (no orchestration).
@@ -200,9 +214,9 @@ int run_smoke() {
   metrics_off.metrics = false;
 
   run_once(pl, threaded);  // warm the shared pool and table caches
-  const std::vector<double> t = best_of_interleaved(pl, {serial, threaded}, 3);
-  const double serial_tps = 1000.0 * static_cast<double>(base.trials) / t[0];
-  const double threaded_tps = 1000.0 * static_cast<double>(base.trials) / t[1];
+  const std::vector<Spread> t = interleaved_spread(pl, {serial, threaded}, 3);
+  const double serial_tps = 1000.0 * static_cast<double>(base.trials) / t[0].best;
+  const double threaded_tps = 1000.0 * static_cast<double>(base.trials) / t[1].best;
   std::printf("smoke: serial %.1f trials/s, threaded(4) %.1f trials/s, cpus %u\n", serial_tps,
               threaded_tps, cpu_count());
 
@@ -305,20 +319,25 @@ int main(int argc, char** argv) {
 
   std::vector<McRecord> records;
   const auto record = [&](const std::string& config, const mc::FullChipMcOptions& opts,
-                          double ms, double baseline_ms) {
+                          const Spread& spread, double baseline_ms) {
+    const double ms = spread.best;
     McRecord r;
     r.config = config;
     r.trials = kTrials;
     r.threads = opts.threads;
     r.sites = side * side;
     r.wall_ms = ms;
+    r.median_ms = spread.median;
+    r.worst_ms = spread.worst;
     r.trials_per_s = 1000.0 * static_cast<double>(kTrials) / ms;
     r.overhead_pct = baseline_ms > 0.0 ? 100.0 * (ms - baseline_ms) / baseline_ms : 0.0;
     r.peak_rss_kb = bench::peak_rss_kb();
     r.budget_peak_bytes = bench::budget_peak_bytes();
     records.push_back(r);
-    std::printf("%-28s threads %zu  %9.2f ms  %9.1f trials/s  overhead %+6.2f%%\n",
-                config.c_str(), opts.threads, ms, r.trials_per_s, r.overhead_pct);
+    std::printf("%-28s threads %zu  %9.2f ms (median %.2f, worst %.2f)  %9.1f trials/s  "
+                "overhead %+6.2f%%\n",
+                config.c_str(), opts.threads, ms, r.median_ms, r.worst_ms, r.trials_per_s,
+                r.overhead_pct);
     return ms;
   };
 
@@ -334,7 +353,7 @@ int main(int argc, char** argv) {
     }
 
     run_once(pl, sweep[3]);  // warm the shared pool (8 workers) and caches
-    const std::vector<double> t = best_of_interleaved(pl, sweep, kReps);
+    const std::vector<Spread> t = interleaved_spread(pl, sweep, kReps);
     record("serial", sweep[0], t[0], 0.0);
     record("threads-2", sweep[1], t[1], 0.0);
     record("threads-4", sweep[2], t[2], 0.0);
@@ -357,16 +376,16 @@ int main(int argc, char** argv) {
     mc::FullChipMcOptions metrics_off = plain;
     metrics_off.metrics = false;
 
-    const std::vector<double> t =
-        best_of_interleaved(pl, {plain, token, ckpting, metrics_off}, kReps);
+    const std::vector<Spread> t =
+        interleaved_spread(pl, {plain, token, ckpting, metrics_off}, kReps);
     const char* prefix = threads == 1 ? "serial" : "threaded";
     record(prefix, plain, t[0], 0.0);
-    record(std::string(prefix) + "+unarmed-token", token, t[1], t[0]);
-    record(std::string(prefix) + "+checkpoints", ckpting, t[2], t[0]);
+    record(std::string(prefix) + "+unarmed-token", token, t[1], t[0].best);
+    record(std::string(prefix) + "+checkpoints", ckpting, t[2], t[0].best);
     record(std::string(prefix) + "-metrics-off", metrics_off, t[3], 0.0);
     // The armed config relative to the stripped one — the number the 2%
     // budget is written against.
-    record(std::string(prefix) + "+metrics-armed", plain, t[0], t[3]);
+    record(std::string(prefix) + "+metrics-armed", plain, t[0], t[3].best);
     std::remove(ckpt.c_str());
   }
 
@@ -382,14 +401,15 @@ int main(int argc, char** argv) {
       jobs[i].seed = base.seed + i;
     }
     run_jobs_batched(pl, jobs);  // warm-up
-    double direct_ms = 1e300, batched_ms = 1e300;
+    std::vector<double> direct_ms, batched_ms;
     for (int r = 0; r < kReps; ++r) {
-      direct_ms = std::min(direct_ms, run_jobs_direct(pl, jobs));
-      batched_ms = std::min(batched_ms, run_jobs_batched(pl, jobs));
+      direct_ms.push_back(run_jobs_direct(pl, jobs));
+      batched_ms.push_back(run_jobs_batched(pl, jobs));
     }
+    const Spread direct(direct_ms);
     mc::FullChipMcOptions serial1 = base;
-    record("serial-8jobs-direct", serial1, direct_ms, 0.0);
-    record("serial-8jobs-batch-service", serial1, batched_ms, direct_ms);
+    record("serial-8jobs-direct", serial1, direct, 0.0);
+    record("serial-8jobs-batch-service", serial1, Spread(batched_ms), direct.best);
   }
 
   if (!json_path.empty()) {
@@ -405,10 +425,12 @@ int main(int argc, char** argv) {
       std::fprintf(f,
                    "%s    {\"config\": \"%s\", \"method\": \"mc\", "
                    "\"trials\": %zu, \"threads\": %zu, \"sites\": %zu, \"wall_ms\": %.4f, "
+                   "\"median_ms\": %.4f, \"worst_ms\": %.4f, "
                    "\"trials_per_s\": %.2f, \"overhead_pct\": %.3f, "
                    "\"peak_rss_kb\": %.0f, \"budget_peak_bytes\": %llu}",
                    i == 0 ? "" : ",\n", r.config.c_str(), r.trials, r.threads, r.sites,
-                   r.wall_ms, r.trials_per_s, r.overhead_pct, r.peak_rss_kb,
+                   r.wall_ms, r.median_ms, r.worst_ms, r.trials_per_s, r.overhead_pct,
+                   r.peak_rss_kb,
                    static_cast<unsigned long long>(r.budget_peak_bytes));
     }
     std::fprintf(f, "\n  ]\n}\n");

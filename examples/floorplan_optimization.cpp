@@ -89,7 +89,9 @@ int main() {
               r.initial_sigma_na * 1e-3, r.final_sigma_na * 1e-3,
               100.0 * (r.initial_sigma_na - r.final_sigma_na) / r.initial_sigma_na,
               r.accepted_moves);
-  const core::LeakageYieldModel before({chip.mean_na, r.initial_sigma_na});
+  core::LeakageEstimate initial = chip;
+  initial.sigma_na = r.initial_sigma_na;
+  const core::LeakageYieldModel before(initial);
   const core::LeakageYieldModel after(chip);
   std::printf("P99 budget:  %.3f -> %.3f uA\n", before.quantile(0.99) * 1e-3,
               after.quantile(0.99) * 1e-3);

@@ -24,10 +24,18 @@ struct Emitter {
     if (signal < cell.num_inputs()) return std::string(1, static_cast<char>('A' + signal));
     if (signal == cell.gnd_signal()) return "VSS";
     if (signal == cell.vdd_signal()) return "VDD";
-    return "n" + std::to_string(signal);
+    return node_name('n', signal);
   }
 
-  std::string fresh_node() { return "x" + std::to_string(next_node++); }
+  std::string fresh_node() { return node_name('x', next_node++); }
+
+  // Appended rather than `"n" + std::to_string(i)`: GCC 12 at -O3 reports a
+  // false -Wrestrict overlap in the inlined insert of that operator+.
+  static std::string node_name(char prefix, int index) {
+    std::string name(1, prefix);
+    name += std::to_string(index);
+    return name;
+  }
 
   void device_line(const device::NetworkDevice& d, const std::string& hi,
                    const std::string& lo) {

@@ -21,6 +21,28 @@ CharacterizedLibrary::CharacterizedLibrary(const cells::StdCellLibrary* library,
                    "state count mismatch for cell " + library_->cell(i).name());
 }
 
+CharacterizedLibrary CharacterizedLibrary::with_wid_sigma(double sigma_wid_nm) const {
+  process::LengthVariation length = process_.length();
+  const double sigma_from = length.sigma_total_nm();
+  length.sigma_wid_nm = sigma_wid_nm;
+  process::ProcessVariation process(length, process_.vt(), process_.wid_correlation_ptr(),
+                                    process_.anisotropy());
+  const double mu = length.mean_nm;
+  const double sigma = length.sigma_total_nm();
+  std::vector<CellChar> cells = cells_;
+  for (CellChar& c : cells)
+    for (StateChar& st : c.states) {
+      if (st.model) {
+        const math::LogQuadraticMoments moments(*st.model, mu, sigma);
+        st.mean_na = moments.mean();
+        st.sigma_na = moments.stddev();
+      } else if (sigma_from > 0.0) {
+        st.sigma_na *= sigma / sigma_from;
+      }
+    }
+  return CharacterizedLibrary(library_, std::move(process), std::move(cells));
+}
+
 const CellChar& CharacterizedLibrary::cell(std::size_t index) const {
   RGLEAK_REQUIRE(index < cells_.size(), "cell index out of range");
   return cells_[index];

@@ -85,6 +85,13 @@ class CharacterizedLibrary {
   /// True when every (cell, state) carries a fitted (a,b,c) model.
   bool has_models() const;
 
+  /// This library under the same process with WID length sigma
+  /// `sigma_wid_nm`: a state with a fitted model takes the model's exact
+  /// moments at the new total length sigma; one without keeps its mean and
+  /// scales its sigma by the ratio of total length sigmas (first order in L).
+  /// The fits themselves are kept.
+  CharacterizedLibrary with_wid_sigma(double sigma_wid_nm) const;
+
  private:
   const cells::StdCellLibrary* library_;
   process::ProcessVariation process_;

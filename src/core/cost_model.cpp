@@ -85,22 +85,27 @@ std::uint64_t CostModel::exact_fft_bytes(std::size_t rows, std::size_t cols) {
   return math::FoldedAutocorrelation2D::grid_bytes(rows, cols) + 4 * sites * sizeof(double);
 }
 
+std::uint64_t CostModel::mc_embedding_bytes(std::size_t padded_rows, std::size_t padded_cols,
+                                            std::size_t rows, std::size_t cols) {
+  const std::uint64_t pad = static_cast<std::uint64_t>(padded_rows) * padded_cols;
+  const std::uint64_t sites = static_cast<std::uint64_t>(rows) * cols;
+  // Column-major sqrt-eigenvalue table, realized covariance, and the column
+  // and row FFT plans.
+  return pad * sizeof(double) + sites * sizeof(double) + math::FftPlan::table_bytes(padded_rows) +
+         math::FftPlan::table_bytes(padded_cols);
+}
+
 std::uint64_t CostModel::mc_worker_bytes(std::size_t padded_rows, std::size_t padded_cols,
                                          std::size_t rows, std::size_t cols, std::size_t gates) {
   const std::uint64_t pad = static_cast<std::uint64_t>(padded_rows) * padded_cols;
   const std::uint64_t sites = static_cast<std::uint64_t>(rows) * cols;
-  // Sampler copy: column-major sqrt-eigenvalue table, spare-field cache, and
-  // its own column and row FFT plans.
-  const std::uint64_t sampler = pad * sizeof(double) + sites * sizeof(double) +
-                                math::FftPlan::table_bytes(padded_rows) +
-                                math::FftPlan::table_bytes(padded_cols);
-  // FieldWorkspace: column-pass scratch over the padded grid + row-pass
-  // buffer over the kept rows.
+  // The sampler copy's spare-field cache; FieldWorkspace: column-pass
+  // scratch over the padded grid + row-pass buffer over the kept rows;
+  // McWorkspace: wid field + per-gate table ids.
   const std::uint64_t field_ws =
       (pad + static_cast<std::uint64_t>(rows) * padded_cols) * sizeof(std::complex<double>);
-  // McWorkspace: wid field + per-gate table ids.
-  const std::uint64_t mc_ws = sites * sizeof(double) + gates * sizeof(std::uint32_t);
-  return sampler + field_ws + mc_ws;
+  return sites * sizeof(double) + field_ws + sites * sizeof(double) +
+         gates * sizeof(std::uint32_t);
 }
 
 namespace {

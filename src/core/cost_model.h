@@ -68,11 +68,16 @@ class CostModel {
   /// 512 padded rows) are not charged.
   static std::uint64_t exact_fft_bytes(std::size_t rows, std::size_t cols);
 
-  /// Per-worker arenas of the MC engine: the worker's field-sampler copy
-  /// (eigenvalue table on the padded grid, spare-field cache, column and row
-  /// FFT plans), FFT workspace (padded-grid scratch + kept-rows buffer), WID
-  /// field buffer, and per-gate table ids. An MC run reserves this per worker
-  /// plus its trial samples (mc::FullChipMonteCarlo::arena_bytes).
+  /// The MC engine's field embedding, built once and shared read-only by
+  /// every worker: the sqrt-eigenvalue table on the padded grid, the realized
+  /// covariance over the sites, and the column and row FFT plans.
+  static std::uint64_t mc_embedding_bytes(std::size_t padded_rows, std::size_t padded_cols,
+                                          std::size_t rows, std::size_t cols);
+
+  /// Per-worker arenas of the MC engine: the worker's spare-field cache, FFT
+  /// workspace (padded-grid scratch + kept-rows buffer), WID field buffer,
+  /// and per-gate table ids. An MC run reserves the embedding once, this per
+  /// worker, and its trial samples (mc::FullChipMonteCarlo::arena_bytes).
   static std::uint64_t mc_worker_bytes(std::size_t padded_rows, std::size_t padded_cols,
                                        std::size_t rows, std::size_t cols, std::size_t gates);
 

@@ -203,13 +203,30 @@ ExactMethod resolve_exact_method(ExactMethod method, std::size_t sites) {
 
 LeakageEstimate ExactEstimator::estimate(const placement::Placement& placement,
                                          const ExactOptions& options) const {
+  return estimate_at(placement, nullptr, options);
+}
+
+LeakageEstimate ExactEstimator::estimate(const placement::Placement& placement,
+                                         const std::vector<double>& rho,
+                                         const ExactOptions& options) const {
+  RGLEAK_REQUIRE(rho.size() == placement.floorplan().num_sites(),
+                 "one length correlation per grid offset");
+  return estimate_at(placement, &rho, options);
+}
+
+LeakageEstimate ExactEstimator::estimate_at(const placement::Placement& placement,
+                                            const std::vector<double>* rho,
+                                            const ExactOptions& options) const {
   const ExactMethod method =
       resolve_exact_method(options.method, placement.floorplan().num_sites());
   util::ThreadPool& pool =
       options.pool ? *options.pool : util::ThreadPool::shared(options.threads);
   try {
-    return method == ExactMethod::kFft ? estimate_fft(placement, pool, options.run)
-                                       : estimate_direct(placement, pool, options.run);
+    const std::vector<double> own =
+        rho ? std::vector<double>() : offset_rho(placement.floorplan());
+    const std::vector<double>& r = rho ? *rho : own;
+    return method == ExactMethod::kFft ? estimate_fft(placement, r, pool, options.run)
+                                       : estimate_direct(placement, r, pool, options.run);
   } catch (const std::bad_alloc&) {
     // Translate allocation failure (real or injected at the *.alloc
     // failpoints) into a located taxonomy error so a starved estimate fails
@@ -224,6 +241,7 @@ LeakageEstimate ExactEstimator::estimate(const placement::Placement& placement,
 }
 
 LeakageEstimate ExactEstimator::estimate_direct(const placement::Placement& placement,
+                                                const std::vector<double>& rho,
                                                 util::ThreadPool& pool,
                                                 const util::RunControl* run) const {
   static util::metrics::Histogram& rung_ms =
@@ -248,8 +266,6 @@ LeakageEstimate ExactEstimator::estimate_direct(const placement::Placement& plac
     row[i] = site / m;
     col[i] = site % m;
   }
-
-  const std::vector<double> rho = offset_rho(fp);
 
   double mean = 0.0, var = 0.0;
   for (std::size_t i = 0; i < n; ++i) mean += effective_[type[i]].mean_na;
@@ -284,6 +300,7 @@ LeakageEstimate ExactEstimator::estimate_direct(const placement::Placement& plac
 }
 
 LeakageEstimate ExactEstimator::estimate_fft(const placement::Placement& placement,
+                                             const std::vector<double>& rho,
                                              util::ThreadPool& pool,
                                              const util::RunControl* run) const {
   static util::metrics::Histogram& rung_ms =
@@ -323,7 +340,6 @@ LeakageEstimate ExactEstimator::estimate_fft(const placement::Placement& placeme
   // self pairs are the diagonal above. Orders add in sequence, so the sum
   // does not depend on the thread count.
   double var = diag + (d_sum * s_sum - ds_sum);
-  const std::vector<double> rho = offset_rho(fp);
   std::vector<double> power(k * m, 1.0);  // rho^(j-1) entering pair (j, j+1)
   std::vector<double> wa(k * m), wb(k * m);
   math::FoldedAutocorrelation2D acf(k, m);

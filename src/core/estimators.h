@@ -112,6 +112,13 @@ class ExactEstimator {
   LeakageEstimate estimate(const placement::Placement& placement,
                            const ExactOptions& options = {}) const;
 
+  /// The same estimate under the per-offset total length correlation `rho`
+  /// (entry |drow| * cols + |dcol| of the placement's floorplan) instead of
+  /// the process's: the MC engine's realized field covariance
+  /// (mc::FullChipMonteCarlo::choose_embedding).
+  LeakageEstimate estimate(const placement::Placement& placement, const std::vector<double>& rho,
+                           const ExactOptions& options = {}) const;
+
   /// Pairwise covariance of cell types (m, n) at length correlation rho_l
   /// (exposed for validation).
   double type_covariance(std::size_t type_m, std::size_t type_n, double rho_l) const;
@@ -124,10 +131,15 @@ class ExactEstimator {
 
   /// rho_L per grid offset (|drow| * cols + |dcol|), shared by both paths.
   std::vector<double> offset_rho(const placement::Floorplan& fp) const;
+  /// Both estimate() overloads: `rho` when given, else offset_rho().
+  LeakageEstimate estimate_at(const placement::Placement& placement,
+                              const std::vector<double>* rho, const ExactOptions& options) const;
   LeakageEstimate estimate_direct(const placement::Placement& placement,
-                                  util::ThreadPool& pool, const util::RunControl* run) const;
+                                  const std::vector<double>& rho, util::ThreadPool& pool,
+                                  const util::RunControl* run) const;
   LeakageEstimate estimate_fft(const placement::Placement& placement,
-                               util::ThreadPool& pool, const util::RunControl* run) const;
+                               const std::vector<double>& rho, util::ThreadPool& pool,
+                               const util::RunControl* run) const;
 };
 
 /// Multiplicative correction to the chip mean leakage from random Vt

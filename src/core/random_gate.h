@@ -22,6 +22,12 @@ enum class CorrelationMode {
   kSimplified,  ///< rho_{m,n} = rho_L (section 3.1.2; required for MC-characterized libraries)
 };
 
+/// The correlation mode a characterized library supports: analytic when it
+/// carries fitted models, simplified otherwise.
+inline CorrelationMode correlation_mode_for(const charlib::CharacterizedLibrary& chars) {
+  return chars.has_models() ? CorrelationMode::kAnalytic : CorrelationMode::kSimplified;
+}
+
 /// Immutable Random Gate: leakage mean/variance and distance-dependent
 /// covariance for a (library, usage, signal-probability) triple.
 class RandomGate {

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <condition_variable>
 #include <exception>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -12,6 +13,7 @@
 #include <utility>
 
 #include "core/cost_model.h"
+#include "core/estimators.h"
 #include "mc/checkpoint.h"
 #include "util/atomic_file.h"
 #include "util/failpoint.h"
@@ -143,20 +145,154 @@ class CheckpointFlusher {
       util::metrics::Registry::instance().histogram("mc.checkpoint.flush_ms");
 };
 
+/// got / want - 1, the relative error of an exact statistic.
+double relative_error(double got, double want) {
+  if (want != 0.0) return got / want - 1.0;
+  return got == 0.0 ? 0.0 : std::numeric_limits<double>::infinity();
+}
+
 }  // namespace
+
+/// The exact statistics of one placed design under the length covariance an
+/// embedding realizes, against those under the target covariance: both from
+/// the exact FFT estimate, in the library's correlation mode.
+class FullChipMonteCarlo::EmbeddingCheck {
+ public:
+  EmbeddingCheck(const placement::Placement& placement,
+                 const charlib::CharacterizedLibrary& chars, double signal_probability,
+                 std::size_t threads)
+      : placement_(placement),
+        chars_(chars),
+        signal_probability_(signal_probability),
+        mode_(core::correlation_mode_for(chars)) {
+    options_.method = core::ExactMethod::kFft;
+    options_.threads = threads;
+    target_ = core::ExactEstimator(chars, signal_probability, mode_).estimate(placement, options_);
+  }
+
+  /// Builds the padded_rows x padded_cols embedding and measures its biases.
+  /// The D2D shift is drawn exactly, so the length field's variance under
+  /// the embedding is var_d2d + C_emb(0), and its correlation at an offset
+  /// (var_d2d + C_emb(offset)) / that.
+  Chosen build(std::size_t padded_rows, std::size_t padded_cols) const {
+    const placement::Floorplan& fp = placement_.floorplan();
+    const process::ProcessVariation& pv = chars_.process();
+    process::GridFieldSampler field(fp.rows, fp.cols, fp.site_w_nm, fp.site_h_nm,
+                                    pv.wid_correlation(), pv.length().sigma_wid_nm,
+                                    pv.anisotropy(), padded_rows, padded_cols);
+    const std::vector<double>& cov = field.realized_covariance();
+    const double var_d2d = pv.length().sigma_d2d_nm * pv.length().sigma_d2d_nm;
+    const double var_l = var_d2d + cov[0];
+    std::vector<double> rho(cov.size());
+    for (std::size_t i = 0; i < cov.size(); ++i) rho[i] = (var_d2d + cov[i]) / var_l;
+    const charlib::CharacterizedLibrary realized = chars_.with_wid_sigma(std::sqrt(cov[0]));
+    const core::LeakageEstimate got = core::ExactEstimator(realized, signal_probability_, mode_)
+                                          .estimate(placement_, rho, options_);
+    return {{padded_rows, padded_cols, relative_error(got.mean_na, target_.mean_na),
+             relative_error(got.sigma_na, target_.sigma_na)},
+            std::move(field)};
+  }
+
+ private:
+  const placement::Placement& placement_;
+  const charlib::CharacterizedLibrary& chars_;
+  double signal_probability_;
+  core::CorrelationMode mode_;
+  core::ExactOptions options_;
+  core::LeakageEstimate target_;
+};
+
+FullChipMonteCarlo::Chosen FullChipMonteCarlo::choose(const placement::Placement& placement,
+                                                      const charlib::CharacterizedLibrary& chars,
+                                                      double signal_probability,
+                                                      std::size_t threads) {
+  static util::metrics::Histogram& choose_ms =
+      util::metrics::Registry::instance().histogram("mc.embedding_ms");
+  const util::metrics::ScopedTimerMs timer(choose_ms);
+  const EmbeddingCheck check(placement, chars, signal_probability, threads);
+  const auto worst = [](const McEmbedding& e) {
+    return std::max(std::abs(e.mean_bias), std::abs(e.sigma_bias));
+  };
+  // Keeps the rung when it is within the tolerance (and says so) or is the
+  // least-biased so far. A rung whose embedding is too far from positive
+  // semi-definite to build is skipped.
+  std::optional<Chosen> best;
+  const auto try_rung = [&](std::size_t padded_rows, std::size_t padded_cols) {
+    try {
+      Chosen rung = check.build(padded_rows, padded_cols);
+      const bool within = worst(rung.embedding) <= kEmbeddingTolerance;
+      if (within || !best || worst(rung.embedding) < worst(best->embedding))
+        best.emplace(std::move(rung));
+      return within;
+    } catch (const NumericalError&) {
+      return false;
+    }
+  };
+
+  using process::GridFieldSampler;
+  const placement::Floorplan& fp = placement.floorplan();
+  const process::CorrelationAnisotropy& axes = chars.process().anisotropy();
+  const double range = chars.process().wid_correlation().range_nm();
+  const std::size_t rows0 =
+      GridFieldSampler::padded_dim(fp.rows, fp.site_h_nm, axes.scale_y, range);
+  const std::size_t cols0 =
+      GridFieldSampler::padded_dim(fp.cols, fp.site_w_nm, axes.scale_x, range);
+  if (try_rung(rows0, cols0)) return std::move(*best);
+  const std::size_t max_rows =
+      GridFieldSampler::max_padded_dim(fp.rows, fp.site_h_nm, axes.scale_y, range);
+  const std::size_t max_cols =
+      GridFieldSampler::max_padded_dim(fp.cols, fp.site_w_nm, axes.scale_x, range);
+  for (std::size_t r = math::next_pow2(fp.rows + 1), c = math::next_pow2(fp.cols + 1);;
+       r *= 2, c *= 2) {
+    const std::size_t rows = std::min(r, max_rows), cols = std::min(c, max_cols);
+    if ((rows != rows0 || cols != cols0) && try_rung(rows, cols)) break;
+    if (rows == max_rows && cols == max_cols) break;
+  }
+  // No rung built: the largest one's error stands.
+  if (!best) best.emplace(check.build(max_rows, max_cols));
+  return std::move(*best);
+}
+
+McEmbedding FullChipMonteCarlo::embedding_at(const placement::Placement& placement,
+                                             const charlib::CharacterizedLibrary& chars,
+                                             double signal_probability, std::size_t threads,
+                                             std::size_t padded_rows, std::size_t padded_cols) {
+  return EmbeddingCheck(placement, chars, signal_probability, threads)
+      .build(padded_rows, padded_cols)
+      .embedding;
+}
+
+McEmbedding FullChipMonteCarlo::choose_embedding(const placement::Placement& placement,
+                                                 const charlib::CharacterizedLibrary& chars,
+                                                 double signal_probability, std::size_t threads) {
+  return choose(placement, chars, signal_probability, threads).embedding;
+}
 
 FullChipMonteCarlo::FullChipMonteCarlo(const placement::Placement& placement,
                                        const charlib::CharacterizedLibrary& chars,
                                        FullChipMcOptions options)
+    : FullChipMonteCarlo(placement, chars, options,
+                         choose(placement, chars, options.signal_probability, options.threads)) {}
+
+FullChipMonteCarlo::FullChipMonteCarlo(const placement::Placement& placement,
+                                       const charlib::CharacterizedLibrary& chars,
+                                       FullChipMcOptions options, Chosen chosen)
     : placement_(&placement),
       chars_(&chars),
       options_(options),
-      field_(placement.floorplan().rows, placement.floorplan().cols,
-             placement.floorplan().site_w_nm, placement.floorplan().site_h_nm,
-             chars.process().wid_correlation(), chars.process().length().sigma_wid_nm,
-             chars.process().anisotropy()),
+      embedding_(chosen.embedding),
+      field_(std::move(chosen.field)),
       rng_(options.seed) {
   RGLEAK_REQUIRE(options_.trials >= 2, "MC needs at least two trials");
+  if (options_.metrics) {
+    // The embedding and its exact biases (in parts per million: gauges are
+    // integers) for --metrics-json.
+    util::metrics::Registry& reg = util::metrics::Registry::instance();
+    reg.gauge("mc.embedding_rows").set(static_cast<std::int64_t>(embedding_.padded_rows));
+    reg.gauge("mc.embedding_cols").set(static_cast<std::int64_t>(embedding_.padded_cols));
+    reg.gauge("mc.embedding_mean_bias_ppm").set(std::llround(1e6 * embedding_.mean_bias));
+    reg.gauge("mc.embedding_sigma_bias_ppm").set(std::llround(1e6 * embedding_.sigma_bias));
+  }
   table_id_.resize(placement.netlist().size());
   draw_states(rng_);
 }
@@ -296,17 +432,13 @@ FullChipMcResult FullChipMonteCarlo::run() {
 }
 
 std::uint64_t FullChipMonteCarlo::arena_bytes(const placement::Placement& placement,
-                                              const charlib::CharacterizedLibrary& chars,
-                                              std::size_t trials, std::size_t threads) {
-  // The padded grid the constructor's field sampler chooses for these inputs.
+                                              const McEmbedding& embedding, std::size_t trials,
+                                              std::size_t threads) {
   const placement::Floorplan& fp = placement.floorplan();
-  const process::ProcessVariation& pv = chars.process();
-  const double range_nm = pv.wid_correlation().range_nm();
-  const std::size_t padded_rows = process::GridFieldSampler::padded_dim(
-      fp.rows, fp.site_h_nm, pv.anisotropy().scale_y, range_nm);
-  const std::size_t padded_cols = process::GridFieldSampler::padded_dim(
-      fp.cols, fp.site_w_nm, pv.anisotropy().scale_x, range_nm);
-  return threads * core::CostModel::mc_worker_bytes(padded_rows, padded_cols, fp.rows, fp.cols,
+  return core::CostModel::mc_embedding_bytes(embedding.padded_rows, embedding.padded_cols,
+                                             fp.rows, fp.cols) +
+         threads * core::CostModel::mc_worker_bytes(embedding.padded_rows, embedding.padded_cols,
+                                                    fp.rows, fp.cols,
                                                     placement.netlist().size()) +
          std::uint64_t{trials} * sizeof(double);
 }
@@ -314,20 +446,21 @@ std::uint64_t FullChipMonteCarlo::arena_bytes(const placement::Placement& placem
 FullChipMcResult FullChipMonteCarlo::run_with_threads(std::size_t threads) {
   const util::RunControl* rc = options_.run;
 
-  // Charge the per-worker arenas (sampler copy + FFT workspace + WID field
-  // and table ids) and the sample slices against the process memory budget up
-  // front; the reservation lives until run() returns. This is the tracked
-  // backstop behind batch admission, which prices the run with the same
-  // arena_bytes — if the budget cannot take it, the job fails typed here
-  // instead of OOM-killing the process.
+  // Charge the shared embedding, the per-worker arenas (spare field + FFT
+  // workspace + WID field and table ids) and the sample slices against the
+  // process memory budget up front; the reservation lives until run()
+  // returns. This is the tracked backstop behind batch admission, which
+  // prices the run with the same arena_bytes — if the budget cannot take it,
+  // the job fails typed here instead of OOM-killing the process.
   RGLEAK_FAILPOINT("mc.workspace.alloc");
   const util::MemoryReservation arena(
-      arena_bytes(*placement_, *chars_, options_.trials, threads), "mc.workspace");
+      arena_bytes(*placement_, embedding_, options_.trials, threads), "mc.workspace");
 
-  // Each worker gets its own RNG stream, field-sampler copy (the sampler
-  // caches the second field of each FFT, and that cache must live as long as
-  // the stream) and workspace, and fills a disjoint slice of the trials so
-  // the merged sample set is deterministic for a fixed (seed, threads). The
+  // Each worker gets its own RNG stream, field-sampler copy (sharing the
+  // engine's embedding; the copy caches the second field of each FFT, and
+  // that cache must live as long as the stream) and workspace, and fills a
+  // disjoint slice of the trials so the merged sample set is deterministic
+  // for a fixed (seed, threads). The
   // serial case is worker 0 continuing rng_ itself, matching the historical
   // serial stream. All of this state persists across checkpoint rounds,
   // which is what makes the result independent of the checkpoint cadence and
@@ -429,6 +562,7 @@ FullChipMcResult FullChipMonteCarlo::run_with_threads(std::size_t threads) {
     throw NumericalError(os.str());
   }
   r.trials = options_.trials;
+  r.embedding = embedding_;
   r.p50_na = acc.percentile(0.50);
   r.p90_na = acc.percentile(0.90);
   r.p99_na = acc.percentile(0.99);

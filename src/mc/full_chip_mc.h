@@ -77,6 +77,24 @@ struct FullChipMcOptions {
   bool metrics = true;
 };
 
+/// Relative chip mean and sigma bias within which an embedding counts as
+/// faithful: about a fifth of one standard error of sigma pooled over 20k
+/// trials.
+inline constexpr double kEmbeddingTolerance = 2e-3;
+
+/// The circulant embedding an engine draws its WID field on, and the exact
+/// relative error that the covariance it realizes
+/// (process::GridFieldSampler::realized_covariance) puts on the engine's own
+/// design: E_emb[total] / E[total] - 1 and sigma_emb[total] / sigma[total] - 1,
+/// both from the exact estimator (core::ExactEstimator), under the realized
+/// and under the target length covariance.
+struct McEmbedding {
+  std::size_t padded_rows = 0;
+  std::size_t padded_cols = 0;
+  double mean_bias = 0.0;
+  double sigma_bias = 0.0;
+};
+
 struct FullChipMcResult {
   double mean_na = 0.0;
   double sigma_na = 0.0;
@@ -85,6 +103,8 @@ struct FullChipMcResult {
   double p50_na = 0.0;
   double p90_na = 0.0;
   double p99_na = 0.0;
+  /// The embedding the field was drawn on, with its exact biases.
+  McEmbedding embedding;
 };
 
 /// Per-worker trial scratch. All buffers grow to their steady-state size on
@@ -98,17 +118,41 @@ struct McWorkspace {
 
 class FullChipMonteCarlo {
  public:
+  /// Chooses the field embedding (choose_embedding, on options.threads
+  /// threads) and builds it.
   FullChipMonteCarlo(const placement::Placement& placement,
                      const charlib::CharacterizedLibrary& chars, FullChipMcOptions options = {});
 
   FullChipMcResult run();
 
+  /// The embedding an engine on these inputs draws on. The default is the
+  /// minimal one (process::GridFieldSampler::padded_dim per axis); it is kept
+  /// when both its exact biases, for this placed design, cell mix and
+  /// signal probability in the library's correlation mode, are within
+  /// kEmbeddingTolerance. Otherwise the power-of-two ladder from
+  /// next_pow2(n + 1) up to GridFieldSampler::max_padded_dim per axis is
+  /// walked, and the first rung within the tolerance is taken, or the
+  /// least-biased rung when none is. No rung exceeds max_padded_dim. The
+  /// exact estimates run on `threads` threads (0 = hardware concurrency).
+  static McEmbedding choose_embedding(const placement::Placement& placement,
+                                      const charlib::CharacterizedLibrary& chars,
+                                      double signal_probability, std::size_t threads);
+
+  /// The exact biases of drawing these inputs on a padded_rows x
+  /// padded_cols embedding (powers of two no smaller than the grid), as
+  /// choose_embedding measures each rung.
+  static McEmbedding embedding_at(const placement::Placement& placement,
+                                  const charlib::CharacterizedLibrary& chars,
+                                  double signal_probability, std::size_t threads,
+                                  std::size_t padded_rows, std::size_t padded_cols);
+
   /// Bytes run() reserves against the process MemoryBudget with `threads`
-  /// workers: each worker's core::CostModel::mc_worker_bytes on the field
-  /// sampler's padded grid, plus one double per trial. Computed from the
-  /// inputs alone, so batch admission prices an MC run before building it.
+  /// workers on `embedding`: the shared embedding once
+  /// (core::CostModel::mc_embedding_bytes), each worker's
+  /// core::CostModel::mc_worker_bytes, and one double per trial. Batch
+  /// admission prices an MC run with it before building the engine.
   static std::uint64_t arena_bytes(const placement::Placement& placement,
-                                   const charlib::CharacterizedLibrary& chars, std::size_t trials,
+                                   const McEmbedding& embedding, std::size_t trials,
                                    std::size_t threads);
 
   /// Total-leakage sample for one process draw (exposed for tests); uses the
@@ -116,11 +160,12 @@ class FullChipMonteCarlo {
   double sample_total_na(math::Rng& rng);
 
  private:
-  /// Per-worker run() state: own RNG stream, field-sampler copy (the sampler
-  /// caches the second field of each FFT, which must live as long as the
-  /// stream), workspace, and the disjoint slice of trials it fills. Each
-  /// worker is a separate heap block, so hot per-trial writes (slice
-  /// push_back, workspace fills) never share a cache line across workers.
+  /// Per-worker run() state: own RNG stream, field-sampler copy (it shares
+  /// the engine's embedding read-only and owns the spare field of each FFT,
+  /// which must live as long as the stream), workspace, and the disjoint
+  /// slice of trials it fills. Each worker is a separate heap block, so hot
+  /// per-trial writes (slice push_back, workspace fills) never share a cache
+  /// line across workers.
   struct Worker {
     math::Rng rng;
     process::GridFieldSampler field;
@@ -130,9 +175,23 @@ class FullChipMonteCarlo {
     Worker(math::Rng r, const process::GridFieldSampler& f) : rng(r), field(f) {}
   };
 
+  /// choose_embedding's answer and the sampler it built for it.
+  struct Chosen {
+    McEmbedding embedding;
+    process::GridFieldSampler field;
+  };
+  class EmbeddingCheck;
+  static Chosen choose(const placement::Placement& placement,
+                       const charlib::CharacterizedLibrary& chars, double signal_probability,
+                       std::size_t threads);
+  FullChipMonteCarlo(const placement::Placement& placement,
+                     const charlib::CharacterizedLibrary& chars, FullChipMcOptions options,
+                     Chosen chosen);
+
   const placement::Placement* placement_;
   const charlib::CharacterizedLibrary* chars_;
   FullChipMcOptions options_;
+  McEmbedding embedding_;
   process::GridFieldSampler field_;
   math::Rng rng_;
   std::vector<std::uint32_t> table_id_;  // per gate, indexes tables_

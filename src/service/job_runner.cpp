@@ -6,6 +6,7 @@
 #include <optional>
 
 #include "charlib/io.h"
+#include "core/cost_model.h"
 #include "core/estimators.h"
 #include "core/leakage_estimator.h"
 #include "core/random_gate.h"
@@ -117,7 +118,7 @@ JobOutput JobRunner::run_estimate(const JobSpec& job, const util::RunControl* wa
     return chars_for(lib);
   }();
   cfg.run = watchdog;
-  cfg.correlation_mode = correlation_mode_for(chars);
+  cfg.correlation_mode = core::correlation_mode_for(chars);
   // Retry degradation: after a retryable failure, answer from the O(1)
   // integral rung instead of re-running the rung that failed.
   if (degrade >= 1) cfg.method = core::EstimationMethod::kIntegralPolar;
@@ -137,7 +138,7 @@ JobOutput JobRunner::run_netlist(const JobSpec& job, const util::RunControl* wat
   const auto [chars, nl] = inputs_for(job, params);
   const placement::Floorplan fp = placement::Floorplan::for_gate_count(nl.size());
   const placement::Placement pl(&nl, fp);
-  const core::CorrelationMode mode = correlation_mode_for(chars);
+  const core::CorrelationMode mode = core::correlation_mode_for(chars);
   const core::RandomGate rg(chars, netlist::extract_usage(nl), req.signal_probability, mode);
 
   // The requested rung: the exact analysis when the job asks for it, or when
@@ -172,13 +173,22 @@ JobOutput JobRunner::run_mc(const JobSpec& job, const util::RunControl* watchdog
 
   // Memory admission: MC has no cheaper rung, so it halves its workers (a
   // request for all cores counting as one) until the bytes the engine will
-  // reserve fit. Without one worker's worth it is refused as a configuration
-  // error: the budget is fixed for the run, so a retry would meet the same
-  // refusal.
+  // reserve on the embedding it chooses fit. Choosing runs exact FFT
+  // estimates of the design, which reserve their arena like any other, so
+  // that arena must fit first. Without room for the estimates or for one
+  // worker the job is refused as a configuration error: the budget is fixed
+  // for the run, so a retry would meet the same refusal.
   JobOutput out;
   if (mem_budget_bytes_ > 0) {
+    const std::uint64_t check = core::CostModel::exact_fft_bytes(fp.rows, fp.cols);
+    if (check > mem_budget_bytes_)
+      throw ConfigError("admission: mc at " + std::to_string(fp.num_sites()) + " sites needs " +
+                        std::to_string(check) + " bytes to choose its field embedding, over the " +
+                        std::to_string(mem_budget_bytes_) + "-byte memory budget");
+    const mc::McEmbedding embedding = mc::FullChipMonteCarlo::choose_embedding(
+        pl, chars, opts.signal_probability, opts.threads);
     const auto bytes = [&](std::size_t threads) {
-      return mc::FullChipMonteCarlo::arena_bytes(pl, chars, opts.trials, threads);
+      return mc::FullChipMonteCarlo::arena_bytes(pl, embedding, opts.trials, threads);
     };
     const std::size_t requested = std::max<std::size_t>(opts.threads, 1);
     opts.threads = requested;

@@ -227,9 +227,4 @@ charlib::CharacterizedLibrary CharacterizeRequest::run(const cells::StdCellLibra
   return charlib::characterize_analytic(lib, process, opts);
 }
 
-core::CorrelationMode correlation_mode_for(const charlib::CharacterizedLibrary& chars) {
-  return chars.has_models() ? core::CorrelationMode::kAnalytic
-                            : core::CorrelationMode::kSimplified;
-}
-
 }  // namespace rgleak::service

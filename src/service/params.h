@@ -170,8 +170,4 @@ struct CharacterizeRequest {
 };
 CharacterizeRequest characterize_request(const Params& p);
 
-/// The correlation mode a characterized library supports: analytic when it
-/// carries fitted models, simplified otherwise.
-core::CorrelationMode correlation_mode_for(const charlib::CharacterizedLibrary& chars);
-
 }  // namespace rgleak::service

@@ -1,5 +1,8 @@
 #include "util/failpoint.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -71,9 +74,13 @@ Decision decide(const char* site) {
   std::fflush(stderr);
   if (action == FailpointAction::kAbort) std::abort();
   if (action == FailpointAction::kSegv) {
-    volatile int* null = nullptr;
-    *null = 42;  // real SIGSEGV, not raise(): exercises the kernel path
-    std::abort();  // not reached; keeps [[noreturn]] honest
+    // A real SIGSEGV, not raise(), so the kernel path is exercised: a store
+    // to a page mapped without access. (A store through a null pointer would
+    // be undefined behaviour, which UBSan reports instead of faulting.)
+    void* page = mmap(nullptr, static_cast<std::size_t>(sysconf(_SC_PAGESIZE)), PROT_NONE,
+                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (page != MAP_FAILED) *static_cast<volatile int*>(page) = 42;
+    std::abort();  // not reached unless the mapping failed; keeps [[noreturn]] honest
   }
   std::_Exit(exit_code);
 }

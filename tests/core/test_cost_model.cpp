@@ -144,10 +144,16 @@ TEST(CostModel, ExactArenaFormulasArePinned) {
 }
 
 TEST(CostModel, McWorkerArenaFormulaIsPinned) {
-  // The bench grid (48x48 sites in a 256x256 embedding, one gate per site)
-  // and a non-square 12x30 grid in a 32x64 embedding.
-  EXPECT_EQ(CostModel::mc_worker_bytes(256, 256, 48, 48, 2304), 1825760u);
-  EXPECT_EQ(CostModel::mc_worker_bytes(32, 64, 12, 30, 360), 70528u);
+  // The bench grid (48x48 sites, one gate per site) in its 128x128
+  // embedding and a non-square 12x30 grid in a 32x64 embedding. Re-pinned
+  // when the workers began sharing one embedding: the sqrt-eigenvalue table
+  // and the two FFT plans moved from the per-worker price into
+  // mc_embedding_bytes, charged once per run, with the realized covariance
+  // the check reads (one double per site).
+  EXPECT_EQ(CostModel::mc_worker_bytes(128, 128, 48, 48, 2304), 406528u);
+  EXPECT_EQ(CostModel::mc_worker_bytes(32, 64, 12, 30, 360), 52256u);
+  EXPECT_EQ(CostModel::mc_embedding_bytes(128, 128, 48, 48), 154592u);
+  EXPECT_EQ(CostModel::mc_embedding_bytes(32, 64, 12, 30), 21152u);
 }
 
 TEST(CostModel, MalformedRecordsAreLocatedParseErrors) {

@@ -201,9 +201,10 @@ TEST(ProcessIsolationSoakIsolate, RandomizedCrashMatrixNeverKillsTheSupervisor) 
             << j.spec.id << ": " << rec.error;
         break;
     }
-    if (rec.status == JobStatus::kFailed)
+    if (rec.status == JobStatus::kFailed) {
       EXPECT_NE(rec.error.find("\"error\":"), std::string::npos)
           << j.spec.id << ": unstructured failure '" << rec.error << "'";
+    }
   }
 
   // The crash injections never fired in the supervisor's own registry.
@@ -337,9 +338,10 @@ TEST(ProcessIsolationSoakIsolate, InterruptedBatchResumesToTheSameTerminalJourna
     EXPECT_EQ(it->second.mean_na, ref->second.mean_na) << job.id;
     EXPECT_EQ(it->second.sigma_na, ref->second.sigma_na) << job.id;
     EXPECT_EQ(it->second.method, ref->second.method) << job.id;
-    if (ref->second.status == JobStatus::kFailed)
+    if (ref->second.status == JobStatus::kFailed) {
       EXPECT_NE(it->second.error.find("\"error\":\"crash\""), std::string::npos)
           << job.id << ": " << it->second.error;
+    }
   }
   std::remove(journal_path.c_str());
   std::remove((journal_path + ".lock").c_str());

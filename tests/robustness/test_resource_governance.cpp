@@ -73,7 +73,9 @@ const GovInputs& inputs() {
 std::uint64_t fft_bytes() { return core::CostModel::exact_fft_bytes(8, 8); }
 std::uint64_t direct_bytes() { return core::CostModel::exact_direct_bytes(64, 8, 8); }
 std::uint64_t mc_bytes(std::size_t threads) {
-  return mc::FullChipMonteCarlo::arena_bytes(inputs().pl, mini_chars_analytic(), 10, threads);
+  static const mc::McEmbedding embedding =
+      mc::FullChipMonteCarlo::choose_embedding(inputs().pl, mini_chars_analytic(), 0.5, 1);
+  return mc::FullChipMonteCarlo::arena_bytes(inputs().pl, embedding, 10, threads);
 }
 
 // Restores the process-wide budget when a test exits, so governance tests

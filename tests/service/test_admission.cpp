@@ -149,9 +149,16 @@ TEST(LadderAdmission, StopsPropagateInsteadOfDegrading) {
   EXPECT_THROW(core::walk_ladder(ladder, Rung::kExactFft), DeadlineExceeded);
 }
 
+// The embedding an MC job on the design draws on (the jobs run at the
+// default signal probability, 0.5).
+const mc::McEmbedding& mc_embedding() {
+  static const mc::McEmbedding e =
+      mc::FullChipMonteCarlo::choose_embedding(design().pl, mini_chars_analytic(), 0.5, 1);
+  return e;
+}
+
 std::uint64_t mc_bytes(std::size_t threads) {
-  return mc::FullChipMonteCarlo::arena_bytes(design().pl, mini_chars_analytic(), kTrials,
-                                             threads);
+  return mc::FullChipMonteCarlo::arena_bytes(design().pl, mc_embedding(), kTrials, threads);
 }
 
 // The library and netlist files a batch job names, written once.
@@ -199,10 +206,14 @@ JobOutput run_alone(const JobSpec& spec, std::uint64_t budget, std::uint64_t* pe
   return out;
 }
 
-TEST(AdmitMc, ArenaIsWorkersTimesTheWorkerArenaPlusTheSamples) {
-  const std::uint64_t worker = mc_bytes(2) - mc_bytes(1);
-  EXPECT_EQ(mc_bytes(1), worker + kTrials * sizeof(double));
-  EXPECT_EQ(mc_bytes(8), 8 * worker + kTrials * sizeof(double));
+TEST(AdmitMc, ArenaIsTheEmbeddingOncePlusWorkersTimesTheWorkerArenaPlusTheSamples) {
+  // The workers share one embedding, so it is charged once, not per worker.
+  const std::size_t rows = mc_embedding().padded_rows, cols = mc_embedding().padded_cols;
+  const std::uint64_t shared = core::CostModel::mc_embedding_bytes(rows, cols, 32, 32);
+  const std::uint64_t worker = core::CostModel::mc_worker_bytes(rows, cols, 32, 32, kGates);
+  EXPECT_EQ(mc_bytes(2) - mc_bytes(1), worker);
+  EXPECT_EQ(mc_bytes(1), shared + worker + kTrials * sizeof(double));
+  EXPECT_EQ(mc_bytes(8), shared + 8 * worker + kTrials * sizeof(double));
 }
 
 TEST(AdmitMc, UnlimitedBudgetPreservesThreadsIncludingAuto) {
@@ -248,7 +259,10 @@ TEST(AdmitMc, SingleWorkerMissIsTypedRejection) {
     EXPECT_EQ(e.code(), ErrorCode::kConfig);
     EXPECT_NE(std::string(e.what()).find("single worker"), std::string::npos) << e.what();
   }
-  EXPECT_EQ(util::MemoryBudget::process().peak(), 0u) << "refused before reserving";
+  // Choosing the embedding ran exact FFT estimates of the 32x32 design, each
+  // charging its arena; the refusal came before the run reserved anything.
+  EXPECT_EQ(util::MemoryBudget::process().peak(), core::CostModel::exact_fft_bytes(32, 32))
+      << "refused before reserving the run's arena";
 }
 
 TEST(AdmitMc, BatchJournalsTheRefusalAfterOneAttempt) {

@@ -418,7 +418,7 @@ TEST(Params, CharacterizeRequestDefaults) {
 }
 
 TEST(Params, CorrelationModeFollowsTheLibrary) {
-  EXPECT_EQ(correlation_mode_for(mini_chars_analytic()), core::CorrelationMode::kAnalytic);
+  EXPECT_EQ(core::correlation_mode_for(mini_chars_analytic()), core::CorrelationMode::kAnalytic);
 }
 
 std::string temp_path(const char* name) { return std::string(::testing::TempDir()) + name; }

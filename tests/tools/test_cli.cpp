@@ -286,6 +286,29 @@ TEST_F(CliParams, MetricsJsonSplitsAnEstimateIntoItsRgBuildAndItsRung) {
   std::remove(out.c_str());
 }
 
+TEST_F(CliParams, McReportsItsEmbeddingAndItsExactBias) {
+  // The 64-gate design is 8x8 sites: its minimal 16x16 embedding is within
+  // the tolerance, and the biases reach --metrics-json as ppm gauges.
+  const std::string out = temp_path("rgleak_cli_mc_embedding.out");
+  const std::string metrics = temp_path("rgleak_cli_mc_embedding.json");
+  ASSERT_EQ(run_cli(mc() + " --metrics-json " + metrics, out), 0);
+  std::ifstream text(out);
+  const std::string stdout_text{std::istreambuf_iterator<char>(text),
+                                std::istreambuf_iterator<char>()};
+  EXPECT_NE(stdout_text.find("embedding    : 16x16 (exact bias: mean +5.45e-04, sigma +8.29e-04)\n"),
+            std::string::npos)
+      << stdout_text;
+  std::ifstream in(metrics);
+  std::string json;
+  std::getline(in, json);
+  for (const char* gauge :
+       {"\"mc.embedding_cols\":16,", "\"mc.embedding_mean_bias_ppm\":545,",
+        "\"mc.embedding_rows\":16,", "\"mc.embedding_sigma_bias_ppm\":829}"})
+    EXPECT_NE(json.find(gauge), std::string::npos) << gauge << " in " << json;
+  std::remove(out.c_str());
+  std::remove(metrics.c_str());
+}
+
 TEST_F(CliParams, SharedParameterSpellingsReachEveryCommand) {
   // Counts accept the float spelling the manifest always accepted.
   EXPECT_EQ(run_cli(mc() + " --trials 1e1"), 0);

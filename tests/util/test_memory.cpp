@@ -167,7 +167,9 @@ TEST(DetectMemoryLimit, ReturnsWithoutCrashing) {
   // The value depends on the host (cgroup limits, RLIMIT_AS); only the
   // contract "0 = unlimited, otherwise a positive ceiling" is portable.
   const std::uint64_t limit = detect_memory_limit();
-  if (limit != 0) EXPECT_GT(limit, 1u << 20) << "a sub-MiB ceiling is surely misdetected";
+  if (limit != 0) {
+    EXPECT_GT(limit, 1u << 20) << "a sub-MiB ceiling is surely misdetected";
+  }
 }
 
 TEST(AllocCount, CountersAreMonotonicAndSeeHeapTraffic) {

@@ -149,7 +149,7 @@ service::JobSpec parse_flags(int argc, char** argv) {
     std::replace(key.begin(), key.end(), '-', '_');
     if (key == "time_budget") key = "time_budget_s";
     if (is_boolean_flag(key)) {
-      spec.params[key] = "1";
+      spec.params[key] = std::string("1");  // not `= "1"`: a false -Wrestrict in GCC 12 -O3
       continue;
     }
     if (i + 1 >= argc) usage_exit(("missing value for " + arg).c_str());
@@ -239,7 +239,7 @@ int cmd_estimate(const Params& p) {
   p.reject_unread();
   const charlib::CharacterizedLibrary chars = charlib::load_characterization(lib, lib_path);
   cfg.run = &g_run;
-  cfg.correlation_mode = service::correlation_mode_for(chars);
+  cfg.correlation_mode = core::correlation_mode_for(chars);
 
   const core::LeakageEstimator estimator(chars, cfg);
   const core::LeakageEstimate e = estimator.estimate(d);
@@ -273,7 +273,7 @@ int cmd_netlist(const Params& p) {
   const placement::Floorplan fp = placement::Floorplan::for_gate_count(nl.size());
   const netlist::UsageHistogram usage = netlist::extract_usage(nl);
 
-  const core::CorrelationMode mode = service::correlation_mode_for(chars);
+  const core::CorrelationMode mode = core::correlation_mode_for(chars);
   const core::RandomGate rg(chars, usage, req.signal_probability, mode);
   const core::LeakageEstimate est = core::estimate_linear(rg, fp, &g_run);
   std::printf("netlist      : %s (%zu gates)\n", nl.name().c_str(), nl.size());
@@ -346,6 +346,9 @@ int cmd_mc(const Params& p) {
               100.0 * r.sigma_na / r.mean_na);
   std::printf("P50/P90/P99  : %.4f / %.4f / %.4f uA\n", r.p50_na * 1e-3, r.p90_na * 1e-3,
               r.p99_na * 1e-3);
+  std::printf("embedding    : %zux%zu (exact bias: mean %+.2e, sigma %+.2e)\n",
+              r.embedding.padded_rows, r.embedding.padded_cols, r.embedding.mean_bias,
+              r.embedding.sigma_bias);
   return 0;
 }
 
@@ -468,7 +471,7 @@ int cmd_sweep(const Params& p) {
   core::EstimatorConfig cfg;
   cfg.run = &g_run;
   cfg.maximize_signal_probability = false;
-  cfg.correlation_mode = service::correlation_mode_for(chars);
+  cfg.correlation_mode = core::correlation_mode_for(chars);
   const core::LeakageEstimator estimator(chars, cfg);
 
   util::Table t({"gates", "mean (uA)", "sigma (uA)", "sigma/mean %", "P99 (uA)"});
