@@ -19,6 +19,24 @@ CharacterizedLibrary::CharacterizedLibrary(const cells::StdCellLibrary* library,
   for (std::size_t i = 0; i < cells_.size(); ++i)
     RGLEAK_REQUIRE(cells_[i].states.size() == library_->cell(i).num_states(),
                    "state count mismatch for cell " + library_->cell(i).name());
+  const double mu = process_.length().mean_nm;
+  const double sigma = process_.length().sigma_total_nm();
+  series_.resize(cells_.size());
+  for (std::size_t i = 0; i < cells_.size(); ++i) {
+    series_[i].resize(cells_[i].states.size());
+    for (std::size_t s = 0; s < cells_[i].states.size(); ++s) {
+      const StateChar& st = cells_[i].states[s];
+      if (st.model) series_[i][s] = hermite_series(*st.model, st.mean_na, mu, sigma);
+    }
+  }
+}
+
+const HermiteSeries& CharacterizedLibrary::state_series(std::size_t index,
+                                                       std::size_t state) const {
+  RGLEAK_REQUIRE(state < cell(index).states.size(), "state index out of range");
+  RGLEAK_REQUIRE(cells_[index].states[state].model.has_value(),
+                 "a Hermite series needs a fitted model");
+  return series_[index][state];
 }
 
 CharacterizedLibrary CharacterizedLibrary::with_wid_sigma(double sigma_wid_nm) const {

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "cells/library.h"
+#include "charlib/hermite_series.h"
 #include "charlib/leakage_table.h"
 #include "math/mgf.h"
 #include "math/rng.h"
@@ -63,7 +64,8 @@ struct AnalyticCharOptions {
   const util::RunControl* run = nullptr;
 };
 
-/// Library + process + per-cell characterization data. Value type.
+/// Library + process + per-cell characterization data, and the Hermite
+/// series of every fitted (cell, state). Value type.
 class CharacterizedLibrary {
  public:
   CharacterizedLibrary(const cells::StdCellLibrary* library, process::ProcessVariation process,
@@ -85,6 +87,12 @@ class CharacterizedLibrary {
   /// True when every (cell, state) carries a fitted (a,b,c) model.
   bool has_models() const;
 
+  /// The Hermite series of the fitted model of cell `index`, state `state`
+  /// at this library's L = mu +/- sigma_total (charlib/hermite_series.h).
+  /// The library builds it once, at construction, for every state that
+  /// carries a model; the estimators only mix these. Requires the model.
+  const HermiteSeries& state_series(std::size_t index, std::size_t state) const;
+
   /// This library under the same process with WID length sigma
   /// `sigma_wid_nm`: a state with a fitted model takes the model's exact
   /// moments at the new total length sigma; one without keeps its mean and
@@ -96,6 +104,7 @@ class CharacterizedLibrary {
   const cells::StdCellLibrary* library_;
   process::ProcessVariation process_;
   std::vector<CellChar> cells_;
+  std::vector<std::vector<HermiteSeries>> series_;  // per (cell, state); empty without a model
 };
 
 /// Monte-Carlo characterization of every cell and input state.

@@ -59,6 +59,7 @@ std::vector<RgComponent> make_rg_components(const CharacterizedLibrary& chars,
       comp.mean_na = cc.states[s].mean_na;
       comp.sigma_na = cc.states[s].sigma_na;
       comp.model = cc.states[s].model;
+      if (comp.model) comp.series = &chars.state_series(ci, s);
       components.push_back(comp);
     }
   }
@@ -68,15 +69,14 @@ std::vector<RgComponent> make_rg_components(const CharacterizedLibrary& chars,
 
 namespace {
 
-// The series of an RG mixture: sum_k w_k hermite_series(component k).
-HermiteSeries mixture_series(const std::vector<RgComponent>& components, double mu_l,
-                             double sigma_l) {
+// The series of an RG mixture: sum_k w_k (series of component k).
+HermiteSeries mixture_series(const std::vector<RgComponent>& components) {
   RGLEAK_REQUIRE(!components.empty(), "RG mixture has no components");
   HermiteSeries mix;
   for (const auto& c : components) {
-    RGLEAK_REQUIRE(c.model.has_value(),
+    RGLEAK_REQUIRE(c.model.has_value() && c.series != nullptr,
                    "the analytic covariance needs fitted models for every component");
-    mix.add_scaled(c.weight, hermite_series(*c.model, c.mean_na, mu_l, sigma_l));
+    mix.add_scaled(c.weight, *c.series);
   }
   return mix;
 }
@@ -94,8 +94,8 @@ HermiteSeries first_order_mixture_series(const std::vector<RgComponent>& compone
 }  // namespace
 
 RgCovarianceModel::RgCovarianceModel(const std::vector<RgComponent>& components,
-                                     HermiteSeries mixture)
-    : mixture_(std::move(mixture)) {
+                                     const HermiteSeries& mixture)
+    : coeffs_(covariance_coefficients(mixture, mixture)) {
   // Mixture mean and variance of the RG (eqs (7)-(8)).
   double m = 0.0, second = 0.0;
   for (const auto& c : components) {
@@ -108,30 +108,45 @@ RgCovarianceModel::RgCovarianceModel(const std::vector<RgComponent>& components,
 
 double RgCovarianceModel::covariance(double rho_l) const {
   RGLEAK_REQUIRE(rho_l >= 0.0 && rho_l <= 1.0, "rho_L must be in [0, 1]");
-  return series_covariance(mixture_, mixture_, rho_l);
+  return covariance_polynomial(coeffs_, rho_l);
 }
 
-AnalyticRgCovariance::AnalyticRgCovariance(const std::vector<RgComponent>& components,
-                                           double mu_l, double sigma_l)
-    : RgCovarianceModel(components, mixture_series(components, mu_l, sigma_l)) {}
+void RgCovarianceModel::covariance_many(const double* rho, double* out, std::size_t n) const {
+  bool in_range = true;
+  for (std::size_t i = 0; i < n; ++i) in_range &= (rho[i] >= 0.0) & (rho[i] <= 1.0);
+  RGLEAK_REQUIRE(in_range, "rho_L must be in [0, 1]");
+  // One Horner chain is latency-bound; kLanes independent chains side by
+  // side keep the multiply and add units busy. Each lane runs the same
+  // operations as covariance_polynomial, so the values are identical.
+  constexpr std::size_t kLanes = 8;
+  const double* c = coeffs_.data();
+  const std::size_t len = coeffs_.size();
+  std::size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    double r[kLanes], f[kLanes] = {};
+    for (std::size_t l = 0; l < kLanes; ++l) r[l] = rho[i + l];
+    for (std::size_t k = len; k-- > 0;)
+      for (std::size_t l = 0; l < kLanes; ++l) f[l] = f[l] * r[l] + c[k];
+    for (std::size_t l = 0; l < kLanes; ++l) out[i + l] = f[l];
+  }
+  for (; i < n; ++i) out[i] = covariance_polynomial(coeffs_, rho[i]);
+}
+
+AnalyticRgCovariance::AnalyticRgCovariance(const std::vector<RgComponent>& components)
+    : RgCovarianceModel(components, mixture_series(components)) {}
 
 SimplifiedRgCovariance::SimplifiedRgCovariance(const std::vector<RgComponent>& components)
     : RgCovarianceModel(components, first_order_mixture_series(components)) {}
 
 CrossRgCovariance::CrossRgCovariance(const std::vector<RgComponent>& a,
-                                     const std::vector<RgComponent>& b, double mu_l,
-                                     double sigma_l)
-    : a_(mixture_series(a, mu_l, sigma_l)), b_(mixture_series(b, mu_l, sigma_l)) {}
-
-CrossRgCovariance::CrossRgCovariance(const std::vector<RgComponent>& a,
                                      const std::vector<RgComponent>& b, bool simplified)
-    : a_(first_order_mixture_series(a)), b_(first_order_mixture_series(b)) {
-  RGLEAK_REQUIRE(simplified, "use the analytic constructor for the exact mapping");
-}
+    : coeffs_(simplified ? covariance_coefficients(first_order_mixture_series(a),
+                                                   first_order_mixture_series(b))
+                         : covariance_coefficients(mixture_series(a), mixture_series(b))) {}
 
 double CrossRgCovariance::covariance(double rho_l) const {
   RGLEAK_REQUIRE(rho_l >= 0.0 && rho_l <= 1.0, "rho_L must be in [0, 1]");
-  return series_covariance(a_, b_, rho_l);
+  return covariance_polynomial(coeffs_, rho_l);
 }
 
 }  // namespace rgleak::charlib

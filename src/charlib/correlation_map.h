@@ -53,6 +53,9 @@ struct RgComponent {
   double mean_na = 0.0;
   double sigma_na = 0.0;
   std::optional<math::LogQuadraticModel> model;
+  /// The library's series of this (cell, state) (CharacterizedLibrary::
+  /// state_series); null without a model. Points into the library.
+  const HermiteSeries* series = nullptr;
 };
 
 /// Flattens a characterized library + usage distribution + signal probability
@@ -64,29 +67,34 @@ std::vector<RgComponent> make_rg_components(const CharacterizedLibrary& chars,
 /// The RG leakage covariance as a function of length correlation (eq. (11)):
 /// covariance(rho) = F(rho) for distinct locations; variance() is
 /// sigma^2_{X_I} for coincident locations. Built by AnalyticRgCovariance or
-/// SimplifiedRgCovariance.
+/// SimplifiedRgCovariance. F is stored as its polynomial coefficients,
+/// c_0 = G_0^2 - M^2 and c_k = G_k^2, so an evaluation is one Horner chain.
 class RgCovarianceModel {
  public:
   /// F(rho_L) for distinct locations; rho_L in [0, 1].
   double covariance(double rho_l) const;
+  /// out[i] = covariance(rho[i]) for i < n, bit for bit, several offsets per
+  /// Horner pass; `rho` and `out` may be the same array.
+  void covariance_many(const double* rho, double* out, std::size_t n) const;
   /// sigma^2 of the RG leakage (same-location covariance).
   double variance() const { return variance_; }
   /// mu of the RG leakage.
   double mean() const { return mean_; }
 
  protected:
-  RgCovarianceModel(const std::vector<RgComponent>& components, HermiteSeries mixture);
+  RgCovarianceModel(const std::vector<RgComponent>& components, const HermiteSeries& mixture);
 
  private:
-  HermiteSeries mixture_;
+  std::vector<double> coeffs_;  // c_k of F(rho) = sum_k c_k rho^k
   double mean_ = 0.0, variance_ = 0.0;
 };
 
-/// Exact mixture covariance from the fitted models.
+/// Exact mixture covariance from the fitted models, at the L statistics of
+/// the library the components came from.
 class AnalyticRgCovariance final : public RgCovarianceModel {
  public:
-  /// Requires every component to carry a fitted model.
-  AnalyticRgCovariance(const std::vector<RgComponent>& components, double mu_l, double sigma_l);
+  /// Requires every component to carry a fitted model and its series.
+  explicit AnalyticRgCovariance(const std::vector<RgComponent>& components);
 };
 
 /// Simplified covariance under rho_{m,n} = rho_L (section 3.1.2): the same
@@ -102,18 +110,16 @@ class SimplifiedRgCovariance final : public RgCovarianceModel {
 /// rho). Used by the multi-block estimator.
 class CrossRgCovariance {
  public:
-  /// Analytic form: both component lists must carry fitted models.
-  CrossRgCovariance(const std::vector<RgComponent>& a, const std::vector<RgComponent>& b,
-                    double mu_l, double sigma_l);
-  /// Simplified form (rho_mn = rho_L): F_AB(rho) = rho * (sum w sigma)_A *
-  /// (sum w sigma)_B. Select with `simplified = true`; models not required.
+  /// Analytic form (`simplified` false): both component lists must carry
+  /// fitted models and their series. Simplified form (rho_mn = rho_L):
+  /// F_AB(rho) = rho * (sum w sigma)_A * (sum w sigma)_B; models not required.
   CrossRgCovariance(const std::vector<RgComponent>& a, const std::vector<RgComponent>& b,
                     bool simplified);
 
   double covariance(double rho_l) const;
 
  private:
-  HermiteSeries a_, b_;
+  std::vector<double> coeffs_;  // c_k of F_AB(rho) = sum_k c_k rho^k
 };
 
 }  // namespace rgleak::charlib

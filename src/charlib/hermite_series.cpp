@@ -47,6 +47,14 @@ HermiteSeries hermite_series(const math::LogQuadraticModel& model, double mean_n
   }
 }
 
+std::vector<double> covariance_coefficients(const HermiteSeries& a, const HermiteSeries& b) {
+  const std::size_t len = a.g.size() < b.g.size() ? a.g.size() : b.g.size();
+  std::vector<double> c(len);
+  for (std::size_t k = 1; k < len; ++k) c[k] = a.g[k] * b.g[k];
+  if (len > 0) c[0] = a.g[0] * b.g[0] - a.mean_na * b.mean_na;
+  return c;
+}
+
 HermiteSeries first_order_series(double mean_na, double sigma_na) {
   HermiteSeries s;
   s.mean_na = mean_na;

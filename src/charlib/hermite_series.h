@@ -59,4 +59,16 @@ inline double series_covariance(const HermiteSeries& a, const HermiteSeries& b, 
   return f * rho + (a.g[0] * b.g[0] - a.mean_na * b.mean_na);
 }
 
+/// The c_k of series_covariance(a, b, rho), computed once for callers that
+/// evaluate one pair at many rho.
+std::vector<double> covariance_coefficients(const HermiteSeries& a, const HermiteSeries& b);
+
+/// sum_k c[k] rho^k by Horner: series_covariance(a, b, rho) bit for bit when
+/// c = covariance_coefficients(a, b).
+inline double covariance_polynomial(const std::vector<double>& c, double rho) {
+  double f = 0.0;
+  for (std::size_t k = c.size(); k-- > 0;) f = f * rho + c[k];
+  return f;
+}
+
 }  // namespace rgleak::charlib

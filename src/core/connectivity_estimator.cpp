@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "charlib/correlation_map.h"
+#include "core/estimators.h"
 #include "util/require.h"
 
 namespace rgleak::core {
@@ -10,15 +11,9 @@ namespace rgleak::core {
 ConnectivityAwareEstimator::ConnectivityAwareEstimator(
     const charlib::CharacterizedLibrary& chars, CorrelationMode mode)
     : chars_(&chars), mode_(mode) {
-  if (mode_ != CorrelationMode::kAnalytic) return;
-  RGLEAK_REQUIRE(chars.has_models(),
-                 "analytic correlation mode needs an analytically characterized library");
-  const double mu = chars.process().length().mean_nm;
-  const double sigma = chars.process().length().sigma_total_nm();
-  state_series_.resize(chars.size());
-  for (std::size_t c = 0; c < chars.size(); ++c)
-    for (const charlib::StateChar& st : chars.cell(c).states)
-      state_series_[c].push_back(charlib::hermite_series(*st.model, st.mean_na, mu, sigma));
+  if (mode_ == CorrelationMode::kAnalytic)
+    RGLEAK_REQUIRE(chars.has_models(),
+                   "analytic correlation mode needs an analytically characterized library");
 }
 
 LeakageEstimate ConnectivityAwareEstimator::estimate(const netlist::ConnectedNetlist& netlist,
@@ -68,7 +63,7 @@ LeakageEstimate ConnectivityAwareEstimator::estimate(const netlist::ConnectedNet
       mean += p * st.mean_na;
       second += p * (st.sigma_na * st.sigma_na + st.mean_na * st.mean_na);
       proc_sigma += p * st.sigma_na;
-      if (mode_ == CorrelationMode::kAnalytic) d.series.add_scaled(p, state_series_[ci][s]);
+      if (mode_ == CorrelationMode::kAnalytic) d.series.add_scaled(p, chars_->state_series(ci, s));
     }
     d.mean_na = mean;
     const double var = second - mean * mean;
@@ -77,13 +72,8 @@ LeakageEstimate ConnectivityAwareEstimator::estimate(const netlist::ConnectedNet
       d.series = charlib::first_order_series(mean, proc_sigma);
   }
 
-  // rho_L per grid offset.
-  const std::size_t k = fp.rows, m = fp.cols;
-  std::vector<double> rho(k * m);
-  for (std::size_t j = 0; j < k; ++j)
-    for (std::size_t i = 0; i < m; ++i)
-      rho[j * m + i] = chars_->process().total_length_correlation_xy(
-          static_cast<double>(i) * fp.site_w_nm, static_cast<double>(j) * fp.site_h_nm);
+  const std::size_t m = fp.cols;
+  const std::vector<double> rho = offset_length_correlation(chars_->process(), fp);
 
   double mean = 0.0, var = 0.0;
   for (const auto& d : dist) {

@@ -32,9 +32,6 @@ class ConnectivityAwareEstimator {
  private:
   const charlib::CharacterizedLibrary* chars_;
   CorrelationMode mode_;
-  // Analytic mode: the Hermite series of every (cell, state) fit, built once,
-  // so estimate() only reads shared state.
-  std::vector<std::vector<charlib::HermiteSeries>> state_series_;
 };
 
 }  // namespace rgleak::core

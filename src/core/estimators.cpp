@@ -50,20 +50,38 @@ LeakageEstimate estimate_linear(const RandomGate& rg, const placement::Floorplan
   const util::metrics::ScopedTimerMs timer(rung_ms);
   const std::size_t k = fp.rows, m = fp.cols;
   const double n = static_cast<double>(fp.num_sites());
-  double var = 0.0;
   // Signed offsets (i, j) folded to i, j >= 0 with multiplicity 2 per nonzero
   // axis; n_ij = (m - i)(k - j) occurrences per signed offset (eq. (16)).
+  // One column of offsets (fixed i) at a time: its rho_L in one batched
+  // kernel call, F(rho_L) for all of them, then the column's weighted sum.
+  // The buffer belongs to this call, so concurrent calls share nothing.
+  std::vector<double> column(k);
+  double var = 0.0;
   for (std::size_t i = 0; i < m; ++i) {
     if (run != nullptr) run->poll("estimate_linear");
+    rg.process().total_length_correlation_column(static_cast<double>(i) * fp.site_w_nm,
+                                                 fp.site_h_nm, k, column.data());
+    rg.covariances_at_rho(column.data(), column.data(), k);
+    if (i == 0) column[0] = rg.variance_na2();  // same site: eq. (11)'s variance branch
+    double s = 0.0;
+    for (std::size_t j = 1; j < k; ++j) s += static_cast<double>(k - j) * column[j];
+    s = static_cast<double>(k) * column[0] + 2.0 * s;
     const double wx = (i == 0 ? 1.0 : 2.0) * static_cast<double>(m - i);
-    const double dx = static_cast<double>(i) * fp.site_w_nm;
-    for (std::size_t j = 0; j < k; ++j) {
-      const double wy = (j == 0 ? 1.0 : 2.0) * static_cast<double>(k - j);
-      const double dy = static_cast<double>(j) * fp.site_h_nm;
-      var += wx * wy * RGLEAK_FAILPOINT_DOUBLE("estimate.linear.cov", rg.covariance_at_offset(dx, dy));
-    }
+    var += wx * RGLEAK_FAILPOINT_DOUBLE("estimate.linear.cov", s);
   }
   return checked_estimate("estimate_linear", "linear", n * rg.mean_na(), var, fp.num_sites(), fp);
+}
+
+std::vector<double> offset_length_correlation(const process::ProcessVariation& pv,
+                                              const placement::Floorplan& fp) {
+  const std::size_t k = fp.rows, m = fp.cols;
+  std::vector<double> rho(k * m), column(k);
+  for (std::size_t i = 0; i < m; ++i) {
+    pv.total_length_correlation_column(static_cast<double>(i) * fp.site_w_nm, fp.site_h_nm, k,
+                                       column.data());
+    for (std::size_t j = 0; j < k; ++j) rho[j * m + i] = column[j];
+  }
+  return rho;
 }
 
 double rect_angular_weight(double w, double h, double r) {
@@ -150,8 +168,6 @@ ExactEstimator::ExactEstimator(const charlib::CharacterizedLibrary& chars,
     RGLEAK_REQUIRE(chars.has_models(),
                    "analytic correlation mode needs an analytically characterized library");
   }
-  const double mu_l = chars.process().length().mean_nm;
-  const double sigma_l = chars.process().length().sigma_total_nm();
   effective_.resize(num_types_);
   series_.resize(num_types_);
   for (std::size_t i = 0; i < num_types_; ++i) {
@@ -159,12 +175,8 @@ ExactEstimator::ExactEstimator(const charlib::CharacterizedLibrary& chars,
     effective_[i] = chars.effective(i, probs);
     const std::vector<charlib::StateChar>& states = chars.cell(i).states;
     if (mode == CorrelationMode::kAnalytic) {
-      for (std::size_t s = 0; s < states.size(); ++s) {
-        if (probs[s] == 0.0) continue;
-        const charlib::StateChar& st = states[s];
-        series_[i].add_scaled(probs[s],
-                              charlib::hermite_series(*st.model, st.mean_na, mu_l, sigma_l));
-      }
+      for (std::size_t s = 0; s < states.size(); ++s)
+        if (probs[s] != 0.0) series_[i].add_scaled(probs[s], chars.state_series(i, s));
     } else {
       // State-weighted process sigma: the component of spread that is shared
       // through L (state choice is independent across gates and must not
@@ -181,19 +193,6 @@ double ExactEstimator::type_covariance(std::size_t type_m, std::size_t type_n,
   RGLEAK_REQUIRE(type_m < num_types_ && type_n < num_types_, "cell type out of range");
   RGLEAK_REQUIRE(rho_l >= 0.0 && rho_l <= 1.0, "rho_L must be in [0, 1]");
   return charlib::series_covariance(series_[type_m], series_[type_n], rho_l);
-}
-
-std::vector<double> ExactEstimator::offset_rho(const placement::Floorplan& fp) const {
-  // Per-offset length correlation: distances on the grid repeat, so compute
-  // rho_L once per (|drow|, |dcol|) offset.
-  const std::size_t k = fp.rows, m = fp.cols;
-  std::vector<double> rho(k * m);
-  for (std::size_t j = 0; j < k; ++j)
-    for (std::size_t i = 0; i < m; ++i) {
-      rho[j * m + i] = chars_->process().total_length_correlation_xy(
-          static_cast<double>(i) * fp.site_w_nm, static_cast<double>(j) * fp.site_h_nm);
-    }
-  return rho;
 }
 
 ExactMethod resolve_exact_method(ExactMethod method, std::size_t sites) {
@@ -223,7 +222,8 @@ LeakageEstimate ExactEstimator::estimate_at(const placement::Placement& placemen
       options.pool ? *options.pool : util::ThreadPool::shared(options.threads);
   try {
     const std::vector<double> own =
-        rho ? std::vector<double>() : offset_rho(placement.floorplan());
+        rho ? std::vector<double>()
+            : offset_length_correlation(chars_->process(), placement.floorplan());
     const std::vector<double>& r = rho ? *rho : own;
     return method == ExactMethod::kFft ? estimate_fft(placement, r, pool, options.run)
                                        : estimate_direct(placement, r, pool, options.run);

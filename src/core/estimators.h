@@ -38,10 +38,18 @@
 namespace rgleak::core {
 
 /// Eq. (17): exact O(n) evaluation of the RG-array leakage variance over a
-/// k x m floorplan; mean = n * mu_XI. `run`, when given, is polled once per
-/// offset row, so a deadline cancels the sum at row granularity.
+/// k x m floorplan; mean = n * mu_XI. The sum runs one column of offsets at a
+/// time (ProcessVariation::total_length_correlation_column, then
+/// RandomGate::covariances_at_rho). `run`, when given, is polled once per
+/// column, so a deadline cancels the sum at column granularity.
 LeakageEstimate estimate_linear(const RandomGate& rg, const placement::Floorplan& fp,
                                 const util::RunControl* run = nullptr);
+
+/// rho_L per grid offset of `fp`, entry |drow| * cols + |dcol|: the process's
+/// total length correlation, one column of offsets per
+/// ProcessVariation::total_length_correlation_column call.
+std::vector<double> offset_length_correlation(const process::ProcessVariation& pv,
+                                              const placement::Floorplan& fp);
 
 /// Eq. (20): constant-time integral approximation over the W x H die. The
 /// 2-D integral is computed exactly as a 1-D radial one,
@@ -129,9 +137,8 @@ class ExactEstimator {
   std::vector<charlib::HermiteSeries> series_;          // per library cell
   std::size_t num_types_ = 0;
 
-  /// rho_L per grid offset (|drow| * cols + |dcol|), shared by both paths.
-  std::vector<double> offset_rho(const placement::Floorplan& fp) const;
-  /// Both estimate() overloads: `rho` when given, else offset_rho().
+  /// Both estimate() overloads: `rho` when given, else
+  /// offset_length_correlation().
   LeakageEstimate estimate_at(const placement::Placement& placement,
                               const std::vector<double>* rho, const ExactOptions& options) const;
   LeakageEstimate estimate_direct(const placement::Placement& placement,

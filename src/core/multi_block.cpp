@@ -41,17 +41,12 @@ MultiBlockEstimator::MultiBlockEstimator(const charlib::CharacterizedLibrary& ch
         charlib::make_rg_components(chars, b.usage.alphas, signal_probability));
   }
 
-  const double mu = chars.process().length().mean_nm;
-  const double sigma = chars.process().length().sigma_total_nm();
   cross_.reserve(blocks_.size() * blocks_.size());
   for (std::size_t i = 0; i < blocks_.size(); ++i) {
     for (std::size_t j = 0; j < blocks_.size(); ++j) {
       if (j < i) continue;  // store upper triangle in order
-      if (mode == CorrelationMode::kAnalytic) {
-        cross_.emplace_back(components[i], components[j], mu, sigma);
-      } else {
-        cross_.emplace_back(components[i], components[j], /*simplified=*/true);
-      }
+      cross_.emplace_back(components[i], components[j],
+                          /*simplified=*/mode == CorrelationMode::kSimplified);
     }
   }
 }

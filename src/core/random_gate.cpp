@@ -17,13 +17,12 @@ RandomGate::RandomGate(const charlib::CharacterizedLibrary& chars,
       util::metrics::Registry::instance().histogram("estimator.random_gate_ms");
   const util::metrics::ScopedTimerMs timer(build_ms);
   usage.validate();
-  std::vector<charlib::RgComponent> components =
+  const std::vector<charlib::RgComponent> components =
       charlib::make_rg_components(chars, usage.alphas, signal_probability);
   if (mode == CorrelationMode::kAnalytic) {
     RGLEAK_REQUIRE(chars.has_models(),
                    "analytic correlation mode needs an analytically characterized library");
-    cov_ = std::make_shared<charlib::AnalyticRgCovariance>(
-        std::move(components), process_.length().mean_nm, process_.length().sigma_total_nm());
+    cov_ = std::make_shared<charlib::AnalyticRgCovariance>(components);
   } else {
     cov_ = std::make_shared<charlib::SimplifiedRgCovariance>(components);
   }

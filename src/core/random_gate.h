@@ -45,6 +45,12 @@ class RandomGate {
   /// correlation: F(rho_L) of eq. (10). Distinct-location branch of eq. (11).
   double covariance_at_rho(double rho_l) const { return cov_->covariance(rho_l); }
 
+  /// out[i] = covariance_at_rho(rho[i]) for i < n, bit for bit, batched
+  /// (charlib::RgCovarianceModel::covariance_many); `rho` and `out` may alias.
+  void covariances_at_rho(const double* rho, double* out, std::size_t n) const {
+    cov_->covariance_many(rho, out, n);
+  }
+
   /// Leakage covariance of two RGs at centre distance d (eq. (11)): the
   /// variance when d == 0, F(rho_total(d)) otherwise. For anisotropic
   /// processes the separation is taken along the x axis.

@@ -1,5 +1,6 @@
 #include "process/spatial_correlation.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "math/root.h"
@@ -13,6 +14,10 @@ constexpr double kNegligible = 1e-6;
 void check_distance(double d) { RGLEAK_REQUIRE(d >= 0.0, "distance must be non-negative"); }
 }  // namespace
 
+void SpatialCorrelation::eval_many(const double* d, double* out, std::size_t n) const {
+  for (std::size_t i = 0; i < n; ++i) out[i] = (*this)(d[i]);
+}
+
 ExponentialCorrelation::ExponentialCorrelation(double correlation_length_nm)
     : lc_(correlation_length_nm) {
   RGLEAK_REQUIRE(lc_ > 0.0, "correlation length must be positive");
@@ -21,6 +26,10 @@ ExponentialCorrelation::ExponentialCorrelation(double correlation_length_nm)
 double ExponentialCorrelation::operator()(double d) const {
   check_distance(d);
   return std::exp(-d / lc_);
+}
+
+void ExponentialCorrelation::eval_many(const double* d, double* out, std::size_t n) const {
+  for (std::size_t i = 0; i < n; ++i) out[i] = std::exp(-d[i] / lc_);
 }
 
 double ExponentialCorrelation::range_nm() const { return -lc_ * std::log(kNegligible); }
@@ -36,6 +45,13 @@ double GaussianCorrelation::operator()(double d) const {
   return std::exp(-r * r);
 }
 
+void GaussianCorrelation::eval_many(const double* d, double* out, std::size_t n) const {
+  for (std::size_t i = 0; i < n; ++i) {
+    const double r = d[i] / lc_;
+    out[i] = std::exp(-r * r);
+  }
+}
+
 double GaussianCorrelation::range_nm() const { return lc_ * std::sqrt(-std::log(kNegligible)); }
 
 LinearCorrelation::LinearCorrelation(double dmax_nm) : dmax_(dmax_nm) {
@@ -45,6 +61,11 @@ LinearCorrelation::LinearCorrelation(double dmax_nm) : dmax_(dmax_nm) {
 double LinearCorrelation::operator()(double d) const {
   check_distance(d);
   return d >= dmax_ ? 0.0 : 1.0 - d / dmax_;
+}
+
+// Clamping r at 1 gives the support cut-off's exact 0.0 without a branch.
+void LinearCorrelation::eval_many(const double* d, double* out, std::size_t n) const {
+  for (std::size_t i = 0; i < n; ++i) out[i] = 1.0 - std::min(d[i] / dmax_, 1.0);
 }
 
 SphericalCorrelation::SphericalCorrelation(double dmax_nm) : dmax_(dmax_nm) {
@@ -58,6 +79,13 @@ double SphericalCorrelation::operator()(double d) const {
   return 1.0 - 1.5 * r + 0.5 * r * r * r;
 }
 
+void SphericalCorrelation::eval_many(const double* d, double* out, std::size_t n) const {
+  for (std::size_t i = 0; i < n; ++i) {
+    const double r = std::min(d[i] / dmax_, 1.0);  // r = 1 evaluates to exactly 0.0
+    out[i] = 1.0 - 1.5 * r + 0.5 * r * r * r;
+  }
+}
+
 Matern32Correlation::Matern32Correlation(double correlation_length_nm)
     : lc_(correlation_length_nm) {
   RGLEAK_REQUIRE(lc_ > 0.0, "correlation length must be positive");
@@ -67,6 +95,13 @@ double Matern32Correlation::operator()(double d) const {
   check_distance(d);
   const double r = std::sqrt(3.0) * d / lc_;
   return (1.0 + r) * std::exp(-r);
+}
+
+void Matern32Correlation::eval_many(const double* d, double* out, std::size_t n) const {
+  for (std::size_t i = 0; i < n; ++i) {
+    const double r = std::sqrt(3.0) * d[i] / lc_;
+    out[i] = (1.0 + r) * std::exp(-r);
+  }
 }
 
 double Matern32Correlation::range_nm() const {
@@ -86,6 +121,10 @@ PowerExponentialCorrelation::PowerExponentialCorrelation(double correlation_leng
 double PowerExponentialCorrelation::operator()(double d) const {
   check_distance(d);
   return std::exp(-std::pow(d / lc_, p_));
+}
+
+void PowerExponentialCorrelation::eval_many(const double* d, double* out, std::size_t n) const {
+  for (std::size_t i = 0; i < n; ++i) out[i] = std::exp(-std::pow(d[i] / lc_, p_));
 }
 
 double PowerExponentialCorrelation::range_nm() const {

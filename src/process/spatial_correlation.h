@@ -5,6 +5,7 @@
 // [Xiong/Zolotov/He, ISPD'06]; we provide the standard families. All models
 // satisfy rho(0) = 1, |rho| <= 1, and are non-increasing in distance.
 
+#include <cstddef>
 #include <memory>
 #include <string>
 
@@ -17,6 +18,12 @@ class SpatialCorrelation {
 
   /// Correlation at separation `distance_nm` >= 0.
   virtual double operator()(double distance_nm) const = 0;
+
+  /// out[i] = (*this)(d[i]) for i < n, bit for bit; `d` and `out` may be the
+  /// same array. The distances must be non-negative (not checked here). The
+  /// default is a scalar loop; the closed-form families override it with a
+  /// branch-free loop.
+  virtual void eval_many(const double* d, double* out, std::size_t n) const;
 
   /// Distance at which the correlation is (effectively) zero; used by the
   /// polar-form estimator as the integration cutoff D_max. For models with
@@ -31,6 +38,7 @@ class ExponentialCorrelation final : public SpatialCorrelation {
  public:
   explicit ExponentialCorrelation(double correlation_length_nm);
   double operator()(double d) const override;
+  void eval_many(const double* d, double* out, std::size_t n) const override;
   double range_nm() const override;
   std::string name() const override { return "exponential"; }
   double correlation_length_nm() const { return lc_; }
@@ -44,6 +52,7 @@ class GaussianCorrelation final : public SpatialCorrelation {
  public:
   explicit GaussianCorrelation(double correlation_length_nm);
   double operator()(double d) const override;
+  void eval_many(const double* d, double* out, std::size_t n) const override;
   double range_nm() const override;
   std::string name() const override { return "gaussian"; }
 
@@ -59,6 +68,7 @@ class LinearCorrelation final : public SpatialCorrelation {
  public:
   explicit LinearCorrelation(double dmax_nm);
   double operator()(double d) const override;
+  void eval_many(const double* d, double* out, std::size_t n) const override;
   double range_nm() const override { return dmax_; }
   std::string name() const override { return "linear"; }
 
@@ -72,6 +82,7 @@ class SphericalCorrelation final : public SpatialCorrelation {
  public:
   explicit SphericalCorrelation(double dmax_nm);
   double operator()(double d) const override;
+  void eval_many(const double* d, double* out, std::size_t n) const override;
   double range_nm() const override { return dmax_; }
   std::string name() const override { return "spherical"; }
 
@@ -86,6 +97,7 @@ class Matern32Correlation final : public SpatialCorrelation {
  public:
   explicit Matern32Correlation(double correlation_length_nm);
   double operator()(double d) const override;
+  void eval_many(const double* d, double* out, std::size_t n) const override;
   double range_nm() const override;
   std::string name() const override { return "matern32"; }
 
@@ -100,6 +112,7 @@ class PowerExponentialCorrelation final : public SpatialCorrelation {
  public:
   PowerExponentialCorrelation(double correlation_length_nm, double power);
   double operator()(double d) const override;
+  void eval_many(const double* d, double* out, std::size_t n) const override;
   double range_nm() const override;
   std::string name() const override { return "powerexp"; }
   double power() const { return p_; }

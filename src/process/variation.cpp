@@ -43,6 +43,23 @@ double ProcessVariation::total_length_correlation_xy(double dx_nm, double dy_nm)
   return (var_dd + var_wd * (*wid_corr_)(d_eff)) / total;
 }
 
+void ProcessVariation::total_length_correlation_column(double dx_nm, double dy_step_nm,
+                                                       std::size_t count, double* out) const {
+  RGLEAK_REQUIRE(dy_step_nm > 0.0, "grid pitch must be positive");
+  const double var_dd = length_.sigma_d2d_nm * length_.sigma_d2d_nm;
+  const double var_wd = length_.sigma_wid_nm * length_.sigma_wid_nm;
+  const double total = var_dd + var_wd;
+  RGLEAK_REQUIRE(total > 0.0, "process has zero length variance");
+  const double x = dx_nm / anisotropy_.scale_x;
+  for (std::size_t j = 0; j < count; ++j) {
+    const double y = static_cast<double>(j) * dy_step_nm / anisotropy_.scale_y;
+    out[j] = std::sqrt(x * x + y * y);
+  }
+  wid_corr_->eval_many(out, out, count);
+  for (std::size_t j = 0; j < count; ++j) out[j] = (var_dd + var_wd * out[j]) / total;
+  if (x == 0.0 && count > 0) out[0] = 1.0;  // the only zero distance: j = 0 with dy_step > 0
+}
+
 double ProcessVariation::wid_correlation_range_nm() const {
   return wid_corr_->range_nm() * std::max(anisotropy_.scale_x, anisotropy_.scale_y);
 }

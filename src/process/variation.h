@@ -9,6 +9,7 @@
 // Vt variation (random dopant fluctuation) is purely random across the die and
 // therefore only enters the *mean* of full-chip leakage.
 
+#include <cstddef>
 #include <memory>
 
 #include "process/spatial_correlation.h"
@@ -65,6 +66,14 @@ class ProcessVariation {
   /// Total channel-length correlation for an (dx, dy) separation, applying
   /// the anisotropy scaling. Equals the distance form when isotropic.
   double total_length_correlation_xy(double dx_nm, double dy_nm) const;
+
+  /// The same correlation along one column of grid offsets: out[j] for the
+  /// offset (dx_nm, j * dy_step_nm), j = 0 .. count - 1, with the anisotropy
+  /// applied and rho(0, 0) = 1, through one SpatialCorrelation::eval_many
+  /// call. Matches total_length_correlation_xy to rounding (it takes the
+  /// distance as sqrt(x^2 + y^2), not hypot). `dy_step_nm` must be positive.
+  void total_length_correlation_column(double dx_nm, double dy_step_nm, std::size_t count,
+                                       double* out) const;
 
   const CorrelationAnisotropy& anisotropy() const { return anisotropy_; }
   bool is_isotropic() const { return anisotropy_.is_isotropic(); }

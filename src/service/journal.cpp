@@ -1,53 +1,63 @@
 #include "service/journal.h"
 
-#include <filesystem>
-#include <fstream>
-#include <system_error>
+#include <fcntl.h>
+#include <sys/file.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <cstring>
+#include <string_view>
 #include <utility>
 
 #include "util/atomic_file.h"
 #include "util/error.h"
 #include "util/failpoint.h"
-
-#if !defined(_WIN32)
-#include <fcntl.h>
-#include <sys/file.h>
-#include <unistd.h>
-#endif
+#include "util/require.h"
 
 namespace rgleak::service {
 
 namespace {
-constexpr const char* kMagic = "rgbatch-journal-v1";
+constexpr std::string_view kMagic = "rgbatch-journal-v1";
 
-// Takes the exclusive single-writer lock for `path`. The lock lives on a
-// `.lock` sidecar because the journal itself is atomically rewritten (temp +
-// rename) on every append — its inode, and any flock on it, would vanish with
-// the first record. Returns the held fd; flock releases on close (including
-// process death, so a SIGKILL'd batch never leaves a stale lock).
-int take_writer_lock(const std::string& path) {
-#if defined(_WIN32)
-  (void)path;
-  return -1;
-#else
-  const std::string lock_path = path + ".lock";
-  const int fd = ::open(lock_path.c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0644);
-  if (fd < 0) throw IoError("cannot open journal lock file: " + lock_path);
-  if (::flock(fd, LOCK_EX | LOCK_NB) != 0) {
-    ::close(fd);
-    throw IoError("journal '" + path + "' is already open in another batch (writer lock '" +
-                  lock_path + "' is held); two writers would lose each other's records");
+[[noreturn]] void throw_io(const std::string& what, const std::string& path) {
+  throw IoError(what + ": " + path + " (" + std::strerror(errno) + ")");
+}
+
+std::string read_all(int fd, const std::string& path) {
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) throw_io("cannot stat journal", path);
+  std::string text(static_cast<std::size_t>(st.st_size), '\0');
+  std::size_t got = 0;
+  while (got < text.size()) {
+    const ssize_t n = ::pread(fd, text.data() + got, text.size() - got, static_cast<off_t>(got));
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) throw_io("cannot read journal", path);
+    if (n == 0) break;  // shrank under us; what was read is what there is
+    got += static_cast<std::size_t>(n);
   }
-  return fd;
-#endif
+  text.resize(got);
+  return text;
+}
+
+void write_all(int fd, std::string_view bytes, const std::string& path) {
+  while (!bytes.empty()) {
+    const ssize_t n = ::write(fd, bytes.data(), bytes.size());
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) throw_io("cannot append to journal", path);
+    bytes.remove_prefix(static_cast<std::size_t>(n));
+  }
+}
+
+void truncate_and_sync(int fd, std::uint64_t length, const std::string& path) {
+  if (::ftruncate(fd, static_cast<off_t>(length)) != 0) throw_io("cannot truncate journal", path);
+  if (::fdatasync(fd) != 0) throw_io("cannot sync journal", path);
 }
 
 }  // namespace
 
 Journal::~Journal() {
-#if !defined(_WIN32)
-  if (lock_fd_ >= 0) ::close(lock_fd_);  // releases the flock
-#endif
+  if (fd_ >= 0) ::close(fd_);  // releases the flock
 }
 
 Journal::Journal(Journal&& other) noexcept
@@ -55,31 +65,49 @@ Journal::Journal(Journal&& other) noexcept
       records_(std::move(other.records_)),
       order_(std::move(other.order_)),
       write_failures_(other.write_failures_),
-      lock_fd_(std::exchange(other.lock_fd_, -1)) {}
+      fd_(std::exchange(other.fd_, -1)),
+      good_bytes_(other.good_bytes_),
+      persisted_(other.persisted_) {}
 
 Journal Journal::open(const std::string& path) {
   Journal j;
   j.path_ = path;
   if (path.empty()) return j;
-  j.lock_fd_ = take_writer_lock(path);
+  j.fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
+  if (j.fd_ < 0) throw_io("cannot open journal", path);
+  // flock releases on close, including process death, so a SIGKILL'd batch
+  // never leaves a stale lock.
+  if (::flock(j.fd_, LOCK_EX | LOCK_NB) != 0)
+    throw IoError("journal '" + path +
+                  "' is already open in another batch (its writer lock is held); two writers "
+                  "would lose each other's records");
 
-  std::ifstream is(path);
-  if (!is) {
-    // Missing file = fresh journal; an existing file we cannot read is an
-    // IoError (silently re-running a whole batch would be worse).
-    std::error_code ec;
-    if (std::filesystem::exists(path, ec))
-      throw IoError("cannot open journal for reading: " + path);
+  const std::string text = read_all(j.fd_, path);
+  const std::string header = std::string(kMagic) + '\n';
+  const auto not_a_journal = [&](const std::string& line) {
+    return ParseError(path, 1, 0,
+                      "not a batch journal (wanted header '" + std::string(kMagic) + "')", line);
+  };
+  // Complete lines end in '\n'. Whatever follows the last one is a torn
+  // append: it is dropped below, once line 1 has shown this is a journal.
+  const std::size_t end = text.rfind('\n') == std::string::npos ? 0 : text.rfind('\n') + 1;
+  if (end == 0) {
+    // No complete line: an empty file, or a header whose write was torn.
+    // Anything else is some other file, which must not be overwritten.
+    if (!header.starts_with(text)) throw not_a_journal(text);
+    truncate_and_sync(j.fd_, 0, path);
+    write_all(j.fd_, header, path);
+    if (::fdatasync(j.fd_) != 0) throw_io("cannot sync journal", path);
+    util::sync_parent_directory(path);  // the file may be new
+    j.good_bytes_ = header.size();
     return j;
   }
-  std::string line;
-  std::size_t lineno = 0;
-  if (!std::getline(is, line)) return j;  // empty file: fresh journal
-  ++lineno;
-  if (line != kMagic)
-    throw ParseError(path, lineno, 0,
-                     std::string("not a batch journal (wanted header '") + kMagic + "')", line);
-  while (std::getline(is, line)) {
+  if (!text.starts_with(header)) throw not_a_journal(text.substr(0, text.find('\n')));
+  std::size_t lineno = 1;
+  for (std::size_t pos = header.size(); pos < end;) {
+    const std::size_t eol = text.find('\n', pos);
+    const std::string line = text.substr(pos, eol - pos);
+    pos = eol + 1;
     ++lineno;
     if (line.empty()) continue;
     JobRecord rec = parse_journal_record(line, path, lineno);
@@ -88,6 +116,9 @@ Journal Journal::open(const std::string& path) {
     j.order_.push_back(rec.id);
     j.records_.emplace(rec.id, std::move(rec));
   }
+  if (end < text.size()) truncate_and_sync(j.fd_, end, path);
+  j.good_bytes_ = end;
+  j.persisted_ = j.order_.size();
   return j;
 }
 
@@ -107,13 +138,15 @@ std::size_t Journal::size() const {
 }
 
 void Journal::append(const JobRecord& rec) {
+  const std::string line = journal_record_json(rec) + '\n';
   std::lock_guard<std::mutex> lock(mutex_);
-  if (records_.count(rec.id) == 0) order_.push_back(rec.id);
-  records_[rec.id] = rec;
-  if (path_.empty()) return;
+  RGLEAK_REQUIRE(records_.count(rec.id) == 0,
+                 "the journal already holds a record for job '" + rec.id + "'");
+  order_.push_back(rec.id);
+  records_.emplace(rec.id, rec);
+  if (fd_ < 0) return;
   try {
-    RGLEAK_FAILPOINT("service.journal.append");
-    persist_locked();
+    persist_locked(line);
   } catch (const std::exception&) {
     // Absorbed: the batch must outlive a flaky disk. The in-memory record is
     // kept; the next successful append (or flush) persists it too.
@@ -128,15 +161,29 @@ std::size_t Journal::write_failures() const {
 
 void Journal::flush() {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (path_.empty()) return;
-  persist_locked();
+  if (fd_ < 0 || persisted_ == order_.size()) return;
+  persist_locked(std::string());
 }
 
-void Journal::persist_locked() {
-  util::atomic_write_file(path_, [&](std::ostream& os) {
-    os << kMagic << "\n";
-    for (const std::string& id : order_) os << journal_record_json(records_.at(id)) << "\n";
-  });
+// Brings the file up to order_. When only the newest record is missing, that
+// is one write of `newest_line`; after an absorbed failure (or from flush,
+// which passes no line) the file is cut back to its last good length, which
+// drops whatever a failed write left, and every missing record is written.
+void Journal::persist_locked(const std::string& newest_line) {
+  RGLEAK_FAILPOINT("service.journal.append");
+  std::string missing;
+  if (persisted_ + 1 != order_.size() || newest_line.empty()) {
+    if (::ftruncate(fd_, static_cast<off_t>(good_bytes_)) != 0)
+      throw_io("cannot truncate journal", path_);
+    for (std::size_t i = persisted_; i < order_.size(); ++i)
+      missing += journal_record_json(records_.at(order_[i])) + '\n';
+  }
+  const std::string& bytes = missing.empty() ? newest_line : missing;
+  write_all(fd_, bytes, path_);
+  RGLEAK_FAILPOINT("service.journal.sync");
+  if (::fdatasync(fd_) != 0) throw_io("cannot sync journal", path_);
+  good_bytes_ += bytes.size();
+  persisted_ = order_.size();
 }
 
 }  // namespace rgleak::service

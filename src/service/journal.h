@@ -8,19 +8,24 @@
 // deterministic for fixed inputs, so at-least-once execution is safe), while
 // a job with a record is never re-run and never duplicated.
 //
-// Every append rewrites the file through util::atomic_write_file (temp +
-// rename), so a reader — including a resume after SIGKILL at any instant —
-// sees a complete, well-formed journal: either with or without the latest
-// record, never a torn line. That is what makes the journal crash-only: the
-// recovery path IS the normal open path.
+// The file is append-only: an append is one write() of the record's line to
+// an O_APPEND descriptor and one fdatasync, so it costs one record whatever
+// the journal's length. A process killed mid-write leaves at most one torn
+// line, the last one, and a torn line has no trailing newline: open()
+// truncates it away and its job re-runs. Every complete line is verified
+// (CRC trailer, strict parse), and a bad one anywhere refuses the journal.
+// That is what makes the journal crash-only: the recovery path IS the
+// normal open path.
 //
 // Append failures (disk full, injected io failpoints) do not kill the batch:
-// the record stays in memory, the append is retried on the next record, and
-// the failure count is surfaced in the batch summary. The cost of a lost
-// append is bounded and safe — at worst a completed job re-runs after a
-// crash.
+// the record stays in memory and the failure is counted (the batch summary
+// reports it). The next append, or flush(), heals the file: it truncates it
+// to the last length known to be good and re-appends every record still
+// missing. The cost of a lost append is bounded and safe — at worst a
+// completed job re-runs after a crash.
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <mutex>
 #include <string>
@@ -43,16 +48,16 @@ class Journal {
   Journal(const Journal&) = delete;
   Journal& operator=(const Journal&) = delete;
 
-  /// Opens `path`, loading existing records when the file exists (a missing
-  /// file is a fresh journal, not an error). Throws IoError on an unreadable
-  /// existing file and located ParseError on a malformed one.
+  /// Opens `path` for appending and loads its records. A missing or empty
+  /// file becomes a fresh journal: its header line is written here. A torn
+  /// final line (no trailing newline) is an append that did not finish: it
+  /// is truncated away. Throws IoError when the file cannot be opened, read
+  /// or written, and a located ParseError when a complete line is malformed.
   ///
-  /// Single-writer: open() takes an exclusive advisory flock on a `.lock`
-  /// sidecar (the journal file itself changes inode on every atomic rewrite,
-  /// so the lock must live on a stable path) and holds it for the Journal's
+  /// Single-writer: open() takes an exclusive advisory flock on the journal
+  /// file itself (appends keep its inode) and holds it for the Journal's
   /// lifetime. A second batch targeting the same journal fails fast with an
-  /// IoError naming the lock file, instead of the two batches silently
-  /// interleaving rewrites and losing each other's records.
+  /// IoError, instead of the two batches interleaving their appends.
   static Journal open(const std::string& path);
 
   /// True when `id` already has a terminal record (job must not re-run).
@@ -62,16 +67,18 @@ class Journal {
   std::map<std::string, JobRecord> records() const;
   std::size_t size() const;
 
-  /// Appends a terminal record and persists the journal atomically.
-  /// Thread-safe. A persistence failure is absorbed (see header) and counted;
-  /// the in-memory record is kept either way.
+  /// Appends a terminal record: one write of its line (rendered before the
+  /// lock is taken) and one fdatasync. Thread-safe. A persistence failure is
+  /// absorbed (see header) and counted; the in-memory record is kept either
+  /// way. A second record for an id the journal holds is a
+  /// ContractViolation.
   void append(const JobRecord& rec);
 
   /// Persistence failures absorbed so far.
   std::size_t write_failures() const;
 
-  /// Forces a rewrite of the backing file (used to flush after absorbed
-  /// failures). Throws on failure when `path` is set.
+  /// Heals the file after absorbed failures (see header); a no-op when every
+  /// record is persisted. Throws on failure.
   void flush();
 
   const std::string& path() const { return path_; }
@@ -82,9 +89,11 @@ class Journal {
   std::map<std::string, JobRecord> records_;
   std::vector<std::string> order_;  // append order, for stable files
   std::size_t write_failures_ = 0;
-  int lock_fd_ = -1;  // exclusive flock on path_ + ".lock"; -1 = none
+  int fd_ = -1;                  // the journal file (O_APPEND), holding the flock; -1 = in memory
+  std::uint64_t good_bytes_ = 0;  // file length holding the header and order_[0, persisted_)
+  std::size_t persisted_ = 0;     // records of order_ known to be in the file
 
-  void persist_locked();
+  void persist_locked(const std::string& newest_line);
 };
 
 }  // namespace rgleak::service

@@ -8,6 +8,7 @@
 #include "util/error.h"
 #include "util/failpoint.h"
 #include "util/format.h"
+#include "util/memory.h"
 #include "util/metrics.h"
 #include "util/require.h"
 
@@ -226,11 +227,19 @@ void apply_rlimits(const SubprocessOptions& opts) {
   }
 }
 
-// `metrics` is the child-side registry delta (metrics::Registry::
-// encode_delta against the snapshot taken at job start); it rides the
-// existing result record as one extra string field, so the parent can fold
-// sandboxed work into its own aggregates. Parents that predate the field
-// ignore unknown keys, so the record stays backward/forward compatible.
+// The fields every child record ends with. `metrics` is the child-side
+// registry delta (metrics::Registry::encode_delta against the snapshot taken
+// at job start) and `mem_peak_bytes` the child's MemoryBudget peak; they ride
+// the result record so the parent can fold sandboxed work and memory into its
+// own aggregates. Parents that predate a field ignore unknown keys, so the
+// record stays backward/forward compatible.
+std::string child_record_tail(const std::string& metrics) {
+  std::string tail;
+  if (!metrics.empty()) tail += ",\"metrics\":" + util::json_string(metrics);
+  tail += ",\"mem_peak_bytes\":" + std::to_string(util::MemoryBudget::process().peak());
+  return tail + "}\n";
+}
+
 std::string child_ok_record(const JobOutput& out, const std::string& metrics) {
   std::ostringstream os;
   // util::format_double, not stream insertion: the child inherits the
@@ -239,9 +248,7 @@ std::string child_ok_record(const JobOutput& out, const std::string& metrics) {
      << ",\"sigma_na\":" << util::format_double(out.sigma_na, 17);
   if (!out.method.empty()) os << ",\"method\":" << util::json_string(out.method);
   if (!out.degradation.empty()) os << ",\"degradation\":" << util::json_string(out.degradation);
-  if (!metrics.empty()) os << ",\"metrics\":" << util::json_string(metrics);
-  os << "}\n";
-  return os.str();
+  return os.str() + child_record_tail(metrics);
 }
 
 std::string child_error_record(const char* code, const std::string& message,
@@ -249,9 +256,7 @@ std::string child_error_record(const char* code, const std::string& message,
   std::ostringstream os;
   os << "{\"ok\":false,\"code\":\"" << code << "\",\"message\":" << util::json_string(message)
      << ",\"json\":" << util::json_string(json);
-  if (!metrics.empty()) os << ",\"metrics\":" << util::json_string(metrics);
-  os << "}\n";
-  return os.str();
+  return os.str() + child_record_tail(metrics);
 }
 
 [[noreturn]] void run_child(Executor& executor, const JobSpec& job, int degrade, int result_fd,
@@ -432,6 +437,10 @@ JobOutput run_job_in_subprocess(Executor& executor, const JobSpec& job,
       // process's registry before any classification can throw.
       if (const auto it = obj.find("metrics"); it != obj.end())
         util::metrics::Registry::instance().merge_delta(it->second);
+      std::uint64_t mem_peak = 0;
+      if (const auto it = obj.find("mem_peak_bytes");
+          it != obj.end() && util::parse_int(it->second, mem_peak))
+        util::MemoryBudget::process().raise_peak(mem_peak);
       if (obj["ok"] == "true") {
         JobOutput out;
         double mean = 0.0;

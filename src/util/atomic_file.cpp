@@ -73,10 +73,18 @@ void atomic_write_file(const std::string& path,
   // point — a failure here raises IoError but the destination already holds
   // the new content; callers that must distinguish can check the path.
   RGLEAK_FAILPOINT("util.atomic_file.fsync_dir");
+  sync_parent_directory(path);
+#endif
+}
+
+void sync_parent_directory(const std::string& path) {
+#if !defined(_WIN32)
   const auto slash = path.find_last_of('/');
   const std::string dir =
       slash == std::string::npos ? std::string(".") : path.substr(0, slash == 0 ? 1 : slash);
   fsync_or_throw(dir, /*directory=*/true);
+#else
+  (void)path;
 #endif
 }
 

@@ -20,4 +20,8 @@ namespace rgleak::util {
 void atomic_write_file(const std::string& path,
                        const std::function<void(std::ostream&)>& emit);
 
+/// fsyncs the directory that holds `path`, so a file created or renamed
+/// there survives power loss. Throws IoError when the open or the sync fails.
+void sync_parent_directory(const std::string& path);
+
 }  // namespace rgleak::util

@@ -81,12 +81,14 @@ bool MemoryBudget::try_reserve(std::uint64_t bytes, const char* site) {
     if (lim != 0 && (bytes > lim || cur > lim - bytes)) return false;
     if (reserved_.compare_exchange_weak(cur, cur + bytes, std::memory_order_relaxed)) break;
   }
-  // Advance the high-water mark (racy max loop).
-  const std::uint64_t now = cur + bytes;
-  std::uint64_t pk = peak_.load(std::memory_order_relaxed);
-  while (now > pk && !peak_.compare_exchange_weak(pk, now, std::memory_order_relaxed)) {
-  }
+  raise_peak(cur + bytes);
   return true;
+}
+
+void MemoryBudget::raise_peak(std::uint64_t bytes) {
+  std::uint64_t pk = peak_.load(std::memory_order_relaxed);  // racy max loop
+  while (bytes > pk && !peak_.compare_exchange_weak(pk, bytes, std::memory_order_relaxed)) {
+  }
 }
 
 void MemoryBudget::release(std::uint64_t bytes) {

@@ -67,6 +67,9 @@ class MemoryBudget {
   /// reset_peak(). Feeds bench records.
   std::uint64_t peak() const { return peak_.load(std::memory_order_relaxed); }
   void reset_peak() { peak_.store(reserved(), std::memory_order_relaxed); }
+  /// Raises peak() to `bytes` when it is lower: the batch supervisor folds a
+  /// sandboxed child's peak, charged to the child's own budget, into its own.
+  void raise_peak(std::uint64_t bytes);
 
   /// Bytes still available under the limit (UINT64_MAX when unlimited).
   std::uint64_t headroom() const;

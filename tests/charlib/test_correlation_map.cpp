@@ -20,10 +20,6 @@ math::LogQuadraticModel model_b() { return {5.0e3, -0.08, 0.0015}; }
 
 constexpr double kMu = 40.0, kSigma = 2.5;
 
-// The mixture tests must evaluate pair expectations at the SAME length
-// statistics the fixture library was characterized with.
-double fixture_sigma() { return rgleak::testing::test_process().length().sigma_total_nm(); }
-
 TEST(PairMoments, ZeroRhoFactorizes) {
   const double e = pair_product_expectation(model_a(), model_b(), kMu, kSigma, 0.0);
   const math::LogQuadraticMoments ma(model_a(), kMu, kSigma);
@@ -114,7 +110,7 @@ std::vector<RgComponent> test_components() {
 
 TEST(AnalyticRgCovariance, MixtureMeanAndVarianceMatchEquations) {
   const auto comps = test_components();
-  const AnalyticRgCovariance cov(comps, kMu, fixture_sigma());
+  const AnalyticRgCovariance cov(comps);
   // Eqs (7)-(8) by hand.
   double mean = 0.0, second = 0.0;
   for (const auto& c : comps) {
@@ -126,12 +122,12 @@ TEST(AnalyticRgCovariance, MixtureMeanAndVarianceMatchEquations) {
 }
 
 TEST(AnalyticRgCovariance, ZeroAtZeroRho) {
-  const AnalyticRgCovariance cov(test_components(), kMu, fixture_sigma());
+  const AnalyticRgCovariance cov(test_components());
   EXPECT_NEAR(cov.covariance(0.0), 0.0, 1e-6 * cov.variance());
 }
 
 TEST(AnalyticRgCovariance, MonotoneAndBelowVariance) {
-  const AnalyticRgCovariance cov(test_components(), kMu, fixture_sigma());
+  const AnalyticRgCovariance cov(test_components());
   double prev = -1.0;
   for (double rho = 0.0; rho <= 1.0; rho += 0.02) {
     const double f = cov.covariance(rho);
@@ -145,7 +141,7 @@ TEST(AnalyticRgCovariance, MonotoneAndBelowVariance) {
 TEST(AnalyticRgCovariance, RequiresModels) {
   auto comps = test_components();
   comps[0].model.reset();
-  EXPECT_THROW(AnalyticRgCovariance(comps, kMu, fixture_sigma()), ContractViolation);
+  EXPECT_THROW(AnalyticRgCovariance{comps}, ContractViolation);
 }
 
 TEST(SimplifiedRgCovariance, LinearInRho) {
@@ -162,7 +158,7 @@ TEST(SimplifiedVsAnalytic, CloseForOurLibrary) {
   // Section 3.1.2: the rho_mn = rho_L simplification changes the covariance
   // by only a few percent.
   const auto comps = test_components();
-  const AnalyticRgCovariance a(comps, kMu, fixture_sigma());
+  const AnalyticRgCovariance a(comps);
   const SimplifiedRgCovariance s(comps);
   for (double rho : {0.2, 0.5, 0.8, 1.0}) {
     EXPECT_NEAR(a.covariance(rho), s.covariance(rho), 0.10 * a.covariance(1.0))

@@ -206,8 +206,8 @@ TEST(HermiteSeries, RgAndCrossRgCovarianceMatchTheClosedFormDoubleSum) {
   for (const CornerFits* fp : corners()) {
     const CornerFits& f = *fp;
     const std::vector<RgComponent> a = mix(f, 0, 5), b = mix(f, 3, 7);
-    const AnalyticRgCovariance rg(a, f.mu, f.sigma);
-    const CrossRgCovariance cross(a, b, f.mu, f.sigma);
+    const AnalyticRgCovariance rg(a);
+    const CrossRgCovariance cross(a, b, /*simplified=*/false);
     const double rg_scale = closed_mixture_cov(a, a, f, 1.0);
     const double cross_scale = std::abs(closed_mixture_cov(a, b, f, 1.0));
     for (std::size_t r = 0; r <= kRhoSteps; ++r) {

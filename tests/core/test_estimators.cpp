@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <thread>
+#include <vector>
 
 #include "../test_util.h"
 #include "math/stats.h"
@@ -64,6 +66,63 @@ TEST(LinearEstimator, ExactlyMatchesBruteForcePairSum) {
         << fp.rows << "x" << fp.cols;
     EXPECT_NEAR(e.mean_na, static_cast<double>(fp.num_sites()) * rg.mean_na(),
                 1e-9 * e.mean_na);
+  }
+}
+
+// Every make_correlation family plus power-exponential, stretched 1 : 1.3,
+// on a scale comparable to the test grids.
+std::vector<std::shared_ptr<const process::SpatialCorrelation>> kernel_families() {
+  std::vector<std::shared_ptr<const process::SpatialCorrelation>> k;
+  for (const char* name : {"exponential", "gaussian", "linear", "spherical", "matern32"})
+    k.push_back(process::make_correlation(name, 6000.0));
+  k.push_back(std::make_shared<process::PowerExponentialCorrelation>(6000.0, 1.5));
+  return k;
+}
+
+process::ProcessVariation stretched(std::shared_ptr<const process::SpatialCorrelation> kernel) {
+  return process::ProcessVariation(process::LengthVariation{}, process::VtVariation{},
+                                   std::move(kernel), process::CorrelationAnisotropy{1.0, 1.3});
+}
+
+TEST(OffsetCorrelation, ColumnMatchesThePointwiseCorrelation) {
+  for (const auto& kernel : kernel_families()) {
+    const process::ProcessVariation pv = stretched(kernel);
+    std::vector<double> column(9);
+    for (std::size_t i = 0; i < 7; ++i) {
+      const double dx = static_cast<double>(i) * 1500.0;
+      pv.total_length_correlation_column(dx, 1200.0, column.size(), column.data());
+      for (std::size_t j = 0; j < column.size(); ++j) {
+        const double want =
+            pv.total_length_correlation_xy(dx, static_cast<double>(j) * 1200.0);
+        EXPECT_NEAR(column[j], want, 1e-14 * want) << kernel->name() << " (" << i << ", " << j << ")";
+      }
+    }
+    pv.total_length_correlation_column(0.0, 1200.0, 1, column.data());
+    EXPECT_EQ(column[0], 1.0) << kernel->name();
+  }
+}
+
+TEST(LinearEstimator, MatchesBruteForceForEveryKernelFamily) {
+  const charlib::CharacterizedLibrary& base = mini_chars_analytic();
+  std::vector<charlib::CellChar> cells;
+  for (std::size_t i = 0; i < base.size(); ++i) cells.push_back(base.cell(i));
+  placement::Floorplan fp = grid(5, 6);
+  fp.site_h_nm = 1200.0;
+  for (const auto& kernel : kernel_families()) {
+    const charlib::CharacterizedLibrary chars(&mini_library(), stretched(kernel), cells);
+    for (const CorrelationMode mode : {CorrelationMode::kAnalytic, CorrelationMode::kSimplified}) {
+      const RandomGate rg(chars, test_usage(), 0.5, mode);
+      double brute = 0.0;
+      for (std::size_t a = 0; a < fp.num_sites(); ++a)
+        for (std::size_t b = 0; b < fp.num_sites(); ++b) {
+          const double dx = fp.site_x_nm(a % fp.cols) - fp.site_x_nm(b % fp.cols);
+          const double dy = fp.site_y_nm(a / fp.cols) - fp.site_y_nm(b / fp.cols);
+          brute += rg.covariance_at_offset(std::abs(dx), std::abs(dy));
+        }
+      const LeakageEstimate e = estimate_linear(rg, fp);
+      EXPECT_NEAR(e.sigma_na * e.sigma_na, brute, 1e-9 * brute)
+          << kernel->name() << (mode == CorrelationMode::kAnalytic ? " analytic" : " simplified");
+    }
   }
 }
 

@@ -260,7 +260,6 @@ TEST(ProcessIsolationSoakIsolate, AcceptanceEightJobsWithTwoCrashers) {
   for (int i : {0, 1, 3, 4, 6, 7})
     EXPECT_EQ(records.at("job-" + std::to_string(i)).status, JobStatus::kSucceeded);
   std::remove(journal_path.c_str());
-  std::remove((journal_path + ".lock").c_str());
 }
 
 TEST(ProcessIsolationSoakIsolate, InterruptedBatchResumesToTheSameTerminalJournal) {
@@ -344,7 +343,6 @@ TEST(ProcessIsolationSoakIsolate, InterruptedBatchResumesToTheSameTerminalJourna
     }
   }
   std::remove(journal_path.c_str());
-  std::remove((journal_path + ".lock").c_str());
 }
 
 }  // namespace

@@ -1,14 +1,24 @@
-// The crash-only batch journal: atomic whole-file persistence, resume
-// semantics, malformed-file refusal, and absorbed write failures.
+// The crash-only batch journal: append-only persistence, resume semantics,
+// torn-tail truncation, malformed-file refusal, absorbed and healed write
+// failures, concurrent appends, and writers SIGKILL'd mid-append.
 
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <chrono>
 #include <clocale>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <random>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "service/journal.h"
 #include "util/error.h"
@@ -22,6 +32,11 @@ using util::ScopedFailpoint;
 
 std::string temp_path(const char* name) {
   return std::string(::testing::TempDir()) + name;
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
 }
 
 JobRecord ok_record(const std::string& id, double mean) {
@@ -92,10 +107,21 @@ TEST(Journal, MalformedFilesAreRefusedWithLocatedErrors) {
     EXPECT_EQ(e.line(), 1u);
   }
 
+  // A final line without its newline is an append that did not finish: it
+  // is cut, and the complete record before it loads.
   write("rgbatch-journal-v1\n{\"job\":\"a\",\"status\":\"ok\",\"mean_na\":1}\n{\"job\":\"a\"");
+  {
+    const Journal j = Journal::open(path);
+    EXPECT_EQ(j.size(), 1u);
+    EXPECT_TRUE(j.has("a"));
+  }
+  EXPECT_EQ(slurp(path), "rgbatch-journal-v1\n{\"job\":\"a\",\"status\":\"ok\",\"mean_na\":1}\n");
+
+  // The same bytes as a complete line are a malformed record, not a torn one.
+  write("rgbatch-journal-v1\n{\"job\":\"a\",\"status\":\"ok\",\"mean_na\":1}\n{\"job\":\"a\"\n");
   try {
     (void)Journal::open(path);
-    ADD_FAILURE() << "expected ParseError for torn record";
+    ADD_FAILURE() << "expected ParseError for a malformed final line";
   } catch (const ParseError& e) {
     EXPECT_EQ(e.line(), 3u);
   }
@@ -114,18 +140,41 @@ TEST(Journal, MalformedFilesAreRefusedWithLocatedErrors) {
   std::remove(path.c_str());
 }
 
+TEST(Journal, OpenRewritesATornHeaderButNeverTouchesAForeignFile) {
+  const std::string path = temp_path("rgleak_journal_header.jsonl");
+  {
+    std::ofstream os(path);
+    os << "rgbatch-jou";  // the header write of a fresh journal, torn
+  }
+  EXPECT_EQ(Journal::open(path).size(), 0u);
+  EXPECT_EQ(slurp(path), "rgbatch-journal-v1\n");
+
+  {
+    std::ofstream os(path);
+    os << "some other file";  // no newline either, but not a header prefix
+  }
+  try {
+    (void)Journal::open(path);
+    ADD_FAILURE() << "expected ParseError for a foreign file";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.line(), 1u);
+  }
+  EXPECT_EQ(slurp(path), "some other file");
+  std::remove(path.c_str());
+}
+
 TEST(Journal, WriteFailureIsAbsorbedAndHealedByTheNextAppend) {
   const std::string path = temp_path("rgleak_journal_absorb.jsonl");
   std::remove(path.c_str());
   {
     Journal j = Journal::open(path);
     {
-      const ScopedFailpoint fp("util.atomic_file.write", FailpointAction::kThrow, 1);
+      const ScopedFailpoint fp("service.journal.append", FailpointAction::kThrow, 1);
       j.append(ok_record("a", 1.0));  // persistence fails, record kept in memory
     }
     EXPECT_EQ(j.write_failures(), 1u);
     EXPECT_TRUE(j.has("a"));
-    EXPECT_FALSE(std::ifstream(path).good());  // atomic writer left nothing
+    EXPECT_EQ(slurp(path), "rgbatch-journal-v1\n");  // the failed append wrote nothing
 
     j.append(ok_record("b", 2.0));  // healthy append persists both records
     EXPECT_EQ(j.write_failures(), 1u);
@@ -134,6 +183,29 @@ TEST(Journal, WriteFailureIsAbsorbedAndHealedByTheNextAppend) {
   EXPECT_EQ(back.size(), 2u);
   EXPECT_TRUE(back.has("a"));
   EXPECT_TRUE(back.has("b"));
+  std::remove(path.c_str());
+}
+
+TEST(Journal, AFailedSyncIsCutAndWrittenOnceByTheNextAppend) {
+  // The line reached the file but its sync failed, so the journal does not
+  // count it as persisted: the next append cuts the file back to its last
+  // good length and writes both records, never the first one twice.
+  const std::string path = temp_path("rgleak_journal_sync.jsonl");
+  std::remove(path.c_str());
+  {
+    Journal j = Journal::open(path);
+    {
+      const ScopedFailpoint fp("service.journal.sync", FailpointAction::kThrow, 1);
+      j.append(ok_record("a", 1.0));
+    }
+    EXPECT_EQ(j.write_failures(), 1u);
+    j.append(ok_record("b", 2.0));
+    EXPECT_EQ(j.write_failures(), 1u);
+  }
+  const Journal back = Journal::open(path);  // a duplicate line would be a ParseError
+  EXPECT_EQ(back.size(), 2u);
+  EXPECT_EQ(slurp(path), "rgbatch-journal-v1\n" + journal_record_json(ok_record("a", 1.0)) +
+                             "\n" + journal_record_json(ok_record("b", 2.0)) + "\n");
   std::remove(path.c_str());
 }
 
@@ -160,7 +232,6 @@ TEST(Journal, JournalAppendFailpointIsAbsorbedToo) {
 TEST(Journal, SingleWriterLockRefusesASecondOpen) {
   const std::string path = temp_path("rgleak_journal_locked.jsonl");
   std::remove(path.c_str());
-  std::remove((path + ".lock").c_str());
   {
     Journal first = Journal::open(path);
     first.append(ok_record("a", 1.0));
@@ -177,8 +248,8 @@ TEST(Journal, SingleWriterLockRefusesASecondOpen) {
   const Journal second = Journal::open(path);
   EXPECT_EQ(second.size(), 1u);
   EXPECT_TRUE(second.has("a"));
+  EXPECT_FALSE(std::filesystem::exists(path + ".lock"));  // the lock is on the journal itself
   std::remove(path.c_str());
-  std::remove((path + ".lock").c_str());
 }
 
 TEST(Journal, InMemoryJournalsTakeNoLock) {
@@ -192,7 +263,8 @@ TEST(Journal, InMemoryJournalsTakeNoLock) {
 }
 
 // A corpus fixture, copied into the test temp dir first: opening a journal
-// takes a `<path>.lock` sidecar, which must not land in the source tree.
+// may write to it (the cut of a torn tail), which the source tree must not
+// see.
 std::string corpus(const char* file) {
   const std::string copy = temp_path(file);
   std::filesystem::copy_file(std::string(RGLEAK_JOURNAL_CORPUS_DIR) + "/" + file, copy,
@@ -247,7 +319,6 @@ TEST(Journal, LegacyRecordsWithoutChecksumStillLoad) {
   EXPECT_EQ(j.size(), 1u);
   EXPECT_EQ(j.records().at("old").mean_na, 42.0);
   std::remove(path.c_str());
-  std::remove((path + ".lock").c_str());
 }
 
 // Regression for the LC_NUMERIC bug: journal numbers used to flow through
@@ -278,10 +349,6 @@ TEST(Journal, RoundTripIsByteIdenticalUnderCommaDecimalLocale) {
   const std::string c_path = temp_path("rgleak_journal_locale_c.jsonl");
   write_journal(c_path);
 
-  const auto slurp = [](const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
-  };
   const std::string comma_bytes = slurp(comma_path);
   EXPECT_FALSE(comma_bytes.empty());
   // Byte identity with the C-locale run is the whole theorem: the C-locale
@@ -293,19 +360,132 @@ TEST(Journal, RoundTripIsByteIdenticalUnderCommaDecimalLocale) {
   EXPECT_EQ(j.records().at("locale-a").mean_na, 123.456789);
   EXPECT_EQ(j.records().at("locale-a").sigma_na, 1.0 / 3.0);
   EXPECT_EQ(j.records().at("locale-b").mean_na, 2.5e-3);
-  for (const std::string& p : {comma_path, c_path}) {
-    std::remove(p.c_str());
-    std::remove((p + ".lock").c_str());
-  }
+  for (const std::string& p : {comma_path, c_path}) std::remove(p.c_str());
 }
 
 TEST(Journal, FlushRethrowsWhatAppendAbsorbs) {
   const std::string path = temp_path("rgleak_journal_flushfail.jsonl");
   std::remove(path.c_str());
-  Journal j = Journal::open(path);
-  j.append(ok_record("a", 1.0));
-  const ScopedFailpoint fp("util.atomic_file.write", FailpointAction::kThrow, 1);
-  EXPECT_THROW(j.flush(), util::FailpointError);
+  {
+    Journal j = Journal::open(path);
+    const ScopedFailpoint fp("service.journal.append", FailpointAction::kThrow, 2);
+    j.append(ok_record("a", 1.0));  // absorbed
+    EXPECT_THROW(j.flush(), util::FailpointError);
+    j.flush();  // the failpoint is spent: this one heals the file
+  }
+  EXPECT_TRUE(Journal::open(path).has("a"));
+  std::remove(path.c_str());
+}
+
+TEST(Journal, SecondAppendForAnIdIsAContractViolation) {
+  const std::string path = temp_path("rgleak_journal_duplicate.jsonl");
+  std::remove(path.c_str());
+  {
+    Journal j = Journal::open(path);
+    j.append(ok_record("a", 1.0));
+    EXPECT_THROW(j.append(ok_record("a", 2.0)), ContractViolation);
+    EXPECT_EQ(j.records().at("a").mean_na, 1.0);
+  }
+  const Journal back = Journal::open(path);
+  EXPECT_EQ(back.size(), 1u);
+  EXPECT_EQ(back.records().at("a").mean_na, 1.0);
+
+  Journal memory = Journal::open("");
+  memory.append(ok_record("a", 1.0));
+  EXPECT_THROW(memory.append(ok_record("a", 2.0)), ContractViolation);
+  std::remove(path.c_str());
+}
+
+TEST(Journal, TornTailCorpusOpensWithItsCompleteRecords) {
+  // Two records, then half of a third with no newline: the shape a SIGKILL
+  // in the middle of an append's write leaves.
+  const std::string path = corpus("torn_tail.journal");
+  {
+    Journal j = Journal::open(path);
+    EXPECT_EQ(j.size(), 2u);
+    EXPECT_TRUE(j.has("t-1"));
+    EXPECT_TRUE(j.has("t-2"));
+    EXPECT_FALSE(j.has("t-3"));  // its job re-runs
+    j.append(ok_record("t-3", 99.5));
+  }
+  const std::string text = slurp(path);
+  ASSERT_FALSE(text.empty());
+  EXPECT_EQ(text.back(), '\n');
+  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 4);  // header + 3 records
+  const Journal back = Journal::open(path);
+  EXPECT_EQ(back.size(), 3u);
+  EXPECT_EQ(back.records().at("t-3").mean_na, 99.5);
+  std::remove(path.c_str());
+}
+
+TEST(Journal, ConcurrentAppendsAllLand) {
+  const std::string path = temp_path("rgleak_journal_concurrent.jsonl");
+  std::remove(path.c_str());
+  constexpr int kThreads = 4, kPerThread = 200;
+  {
+    Journal j = Journal::open(path);
+    std::vector<std::thread> writers;
+    for (int t = 0; t < kThreads; ++t)
+      writers.emplace_back([&j, t] {
+        for (int i = 0; i < kPerThread; ++i)
+          j.append(ok_record("w" + std::to_string(t) + "-" + std::to_string(i), i));
+      });
+    for (std::thread& w : writers) w.join();
+    EXPECT_EQ(j.write_failures(), 0u);
+  }
+  const Journal back = Journal::open(path);
+  EXPECT_EQ(back.size(), static_cast<std::size_t>(kThreads * kPerThread));
+  for (int t = 0; t < kThreads; ++t)
+    for (int i = 0; i < kPerThread; ++i)
+      EXPECT_TRUE(back.has("w" + std::to_string(t) + "-" + std::to_string(i)));
+  const std::string text = slurp(path);
+  ASSERT_FALSE(text.empty());
+  EXPECT_EQ(text.back(), '\n');
+  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), kThreads * kPerThread + 1);
+  std::remove(path.c_str());
+}
+
+// A writer SIGKILL'd at a random instant, fifty times: the killed child
+// appends k0, k1, ... until it dies, and every reopen must hold a gap-free
+// prefix of those ids and accept the next append. The child only opens and
+// appends (no threads), so it is safe to fork under the sanitizers.
+TEST(JournalIsolate, SigkilledAppenderLeavesAGapFreePrefix) {
+  const std::string path = temp_path("rgleak_journal_killed.jsonl");
+  std::mt19937 rng(20261020u);
+  std::uniform_int_distribution<int> delay_us(0, 6000);
+  std::size_t longest = 0;
+  for (int round = 0; round < 50; ++round) {
+    std::remove(path.c_str());
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      try {
+        Journal j = Journal::open(path);
+        for (int i = 0;; ++i) j.append(ok_record("k" + std::to_string(i), i));
+      } catch (...) {
+      }
+      ::_exit(1);
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(delay_us(rng)));
+    ::kill(pid, SIGKILL);
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFSIGNALED(status)) << "round " << round << ": the appender stopped by itself";
+
+    std::size_t n = 0;
+    {
+      Journal j = Journal::open(path);
+      n = j.size();
+      for (std::size_t i = 0; i < n; ++i)
+        ASSERT_TRUE(j.has("k" + std::to_string(i))) << "round " << round << ": gap at k" << i;
+      j.append(ok_record("after", 1.0));
+    }
+    const Journal back = Journal::open(path);
+    EXPECT_EQ(back.size(), n + 1) << "round " << round;
+    EXPECT_TRUE(back.has("after")) << "round " << round;
+    longest = std::max(longest, n);
+  }
+  EXPECT_GT(longest, 0u) << "no child lived long enough to append";
   std::remove(path.c_str());
 }
 

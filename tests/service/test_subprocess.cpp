@@ -24,6 +24,7 @@
 #include "service/subprocess.h"
 #include "util/error.h"
 #include "util/failpoint.h"
+#include "util/memory.h"
 #include "util/run_control.h"
 
 namespace rgleak::service {
@@ -116,6 +117,34 @@ TEST(SubprocessIsolate, TypedErrorRoundTripsWithItsJsonRecord) {
     EXPECT_NE(report->error_json_line().find("\"error\":\"numerical\""), std::string::npos)
         << report->error_json_line();
   }
+}
+
+TEST(SubprocessIsolate, ChildMemoryPeakReachesTheSupervisorOnEveryOutcome) {
+  // A forked child charges its own copy of the process budget; its result
+  // record carries that peak, and the supervisor raises its own peak to it,
+  // so `rgleak batch` reports the same peak in both isolation modes.
+  util::MemoryBudget& budget = util::MemoryBudget::process();
+  util::RunControl watchdog;
+  const std::uint64_t held = budget.reserved();  // the child inherits this charge
+  budget.reset_peak();
+  (void)run_isolated(
+      [](const JobSpec&, const util::RunControl*, int) {
+        const util::MemoryReservation arena(12856, "test.child.ok");
+        return ok_output();
+      },
+      job("peak-ok"), watchdog);
+  EXPECT_EQ(budget.peak(), held + 12856);
+  EXPECT_EQ(budget.reserved(), held) << "the child's charge must not leak into the parent";
+
+  budget.reset_peak();
+  EXPECT_THROW(run_isolated(
+                   [](const JobSpec&, const util::RunControl*, int) -> JobOutput {
+                     const util::MemoryReservation arena(40960, "test.child.failed");
+                     throw ConfigError("refused after charging");
+                   },
+                   job("peak-failed"), watchdog),
+               Error);
+  EXPECT_EQ(budget.peak(), held + 40960);
 }
 
 TEST(SubprocessIsolate, ParseErrorLocationSurvivesTheBoundary) {
