@@ -112,22 +112,25 @@ double RgCovarianceModel::covariance(double rho_l) const {
 }
 
 void RgCovarianceModel::covariance_many(const double* rho, double* out, std::size_t n) const {
-  bool in_range = true;
-  for (std::size_t i = 0; i < n; ++i) in_range &= (rho[i] >= 0.0) & (rho[i] <= 1.0);
-  RGLEAK_REQUIRE(in_range, "rho_L must be in [0, 1]");
-  // One Horner chain is latency-bound; kLanes independent chains side by
-  // side keep the multiply and add units busy. Each lane runs the same
-  // operations as covariance_polynomial, so the values are identical.
-  constexpr std::size_t kLanes = 8;
+  // One Horner chain is latency-bound: four offsets' chains side by side,
+  // in named locals the compiler keeps in registers, keep the multiply and
+  // add units busy. Each lane runs covariance_polynomial's operations in the
+  // same order, so the values are identical.
   const double* c = coeffs_.data();
-  const std::size_t len = coeffs_.size();
   std::size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    double r[kLanes], f[kLanes] = {};
-    for (std::size_t l = 0; l < kLanes; ++l) r[l] = rho[i + l];
-    for (std::size_t k = len; k-- > 0;)
-      for (std::size_t l = 0; l < kLanes; ++l) f[l] = f[l] * r[l] + c[k];
-    for (std::size_t l = 0; l < kLanes; ++l) out[i + l] = f[l];
+  for (; i + 4 <= n; i += 4) {
+    const double r0 = rho[i], r1 = rho[i + 1], r2 = rho[i + 2], r3 = rho[i + 3];
+    double f0 = 0.0, f1 = 0.0, f2 = 0.0, f3 = 0.0;
+    for (std::size_t k = coeffs_.size(); k-- > 0;) {
+      f0 = f0 * r0 + c[k];
+      f1 = f1 * r1 + c[k];
+      f2 = f2 * r2 + c[k];
+      f3 = f3 * r3 + c[k];
+    }
+    out[i] = f0;
+    out[i + 1] = f1;
+    out[i + 2] = f2;
+    out[i + 3] = f3;
   }
   for (; i < n; ++i) out[i] = covariance_polynomial(coeffs_, rho[i]);
 }

@@ -73,8 +73,9 @@ class RgCovarianceModel {
  public:
   /// F(rho_L) for distinct locations; rho_L in [0, 1].
   double covariance(double rho_l) const;
-  /// out[i] = covariance(rho[i]) for i < n, bit for bit, several offsets per
-  /// Horner pass; `rho` and `out` may be the same array.
+  /// out[i] = covariance(rho[i]) for i < n, bit for bit, four offsets per
+  /// Horner pass; `rho` and `out` may be the same array. The rho_L must be
+  /// in [0, 1] (not checked here, as in SpatialCorrelation::eval_many).
   void covariance_many(const double* rho, double* out, std::size_t n) const;
   /// sigma^2 of the RG leakage (same-location covariance).
   double variance() const { return variance_; }

@@ -54,18 +54,18 @@ LeakageEstimate estimate_linear(const RandomGate& rg, const placement::Floorplan
   // axis; n_ij = (m - i)(k - j) occurrences per signed offset (eq. (16)).
   // One column of offsets (fixed i) at a time: its rho_L in one batched
   // kernel call, F(rho_L) for all of them, then the column's weighted sum.
-  // The buffer belongs to this call, so concurrent calls share nothing.
-  std::vector<double> column(k);
+  // The buffers belong to this call, so concurrent calls share nothing.
+  std::vector<double> rho(k), cov(k);
   double var = 0.0;
   for (std::size_t i = 0; i < m; ++i) {
     if (run != nullptr) run->poll("estimate_linear");
     rg.process().total_length_correlation_column(static_cast<double>(i) * fp.site_w_nm,
-                                                 fp.site_h_nm, k, column.data());
-    rg.covariances_at_rho(column.data(), column.data(), k);
-    if (i == 0) column[0] = rg.variance_na2();  // same site: eq. (11)'s variance branch
+                                                 fp.site_h_nm, k, rho.data());
+    rg.covariances_at_rho(rho.data(), cov.data(), k);
+    if (i == 0) cov[0] = rg.variance_na2();  // same site: eq. (11)'s variance branch
     double s = 0.0;
-    for (std::size_t j = 1; j < k; ++j) s += static_cast<double>(k - j) * column[j];
-    s = static_cast<double>(k) * column[0] + 2.0 * s;
+    for (std::size_t j = 1; j < k; ++j) s += static_cast<double>(k - j) * cov[j];
+    s = static_cast<double>(k) * cov[0] + 2.0 * s;
     const double wx = (i == 0 ? 1.0 : 2.0) * static_cast<double>(m - i);
     var += wx * RGLEAK_FAILPOINT_DOUBLE("estimate.linear.cov", s);
   }

@@ -46,7 +46,8 @@ class RandomGate {
   double covariance_at_rho(double rho_l) const { return cov_->covariance(rho_l); }
 
   /// out[i] = covariance_at_rho(rho[i]) for i < n, bit for bit, batched
-  /// (charlib::RgCovarianceModel::covariance_many); `rho` and `out` may alias.
+  /// (charlib::RgCovarianceModel::covariance_many); `rho` and `out` may be
+  /// the same array.
   void covariances_at_rho(const double* rho, double* out, std::size_t n) const {
     cov_->covariance_many(rho, out, n);
   }

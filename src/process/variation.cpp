@@ -50,13 +50,15 @@ void ProcessVariation::total_length_correlation_column(double dx_nm, double dy_s
   const double var_wd = length_.sigma_wid_nm * length_.sigma_wid_nm;
   const double total = var_dd + var_wd;
   RGLEAK_REQUIRE(total > 0.0, "process has zero length variance");
-  const double x = dx_nm / anisotropy_.scale_x;
+  // Divisions hoisted out of the loops: the values move by rounding only.
+  const double x = dx_nm / anisotropy_.scale_x, step = dy_step_nm / anisotropy_.scale_y;
+  const double floor = var_dd / total, wid = var_wd / total;
   for (std::size_t j = 0; j < count; ++j) {
-    const double y = static_cast<double>(j) * dy_step_nm / anisotropy_.scale_y;
+    const double y = static_cast<double>(j) * step;
     out[j] = std::sqrt(x * x + y * y);
   }
   wid_corr_->eval_many(out, out, count);
-  for (std::size_t j = 0; j < count; ++j) out[j] = (var_dd + var_wd * out[j]) / total;
+  for (std::size_t j = 0; j < count; ++j) out[j] = floor + wid * out[j];
   if (x == 0.0 && count > 0) out[0] = 1.0;  // the only zero distance: j = 0 with dy_step > 0
 }
 

@@ -70,8 +70,9 @@ class ProcessVariation {
   /// The same correlation along one column of grid offsets: out[j] for the
   /// offset (dx_nm, j * dy_step_nm), j = 0 .. count - 1, with the anisotropy
   /// applied and rho(0, 0) = 1, through one SpatialCorrelation::eval_many
-  /// call. Matches total_length_correlation_xy to rounding (it takes the
-  /// distance as sqrt(x^2 + y^2), not hypot). `dy_step_nm` must be positive.
+  /// call. Matches total_length_correlation_xy to rounding (the distance is
+  /// sqrt(x^2 + y^2), not hypot, and the divisions are hoisted out of the
+  /// loops). `dy_step_nm` must be positive.
   void total_length_correlation_column(double dx_nm, double dy_step_nm, std::size_t count,
                                        double* out) const;
 
