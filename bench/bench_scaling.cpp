@@ -1,8 +1,8 @@
 // Complexity claims of section 3: runtime scaling of the estimators —
 // O(n^2) exact pairwise baseline (serial and thread-pool tiled), the
 // O(K n log n) FFT exact path (K Hermite series orders), O(n)
-// distance-histogram (eq. 17), and O(1) integration (eqs 20/25) — using
-// google-benchmark.
+// distance-histogram (eq. 17), and O(1) integration (eqs 20/25), plus the
+// batch journal's per-append cost — using google-benchmark.
 //
 // `bench_scaling --exact-json[=PATH]` skips google-benchmark and instead
 // records the exact-estimator perf trajectory to BENCH_exact_estimator.json:
@@ -19,6 +19,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <functional>
 #include <string>
 #include <thread>
@@ -28,6 +29,7 @@
 #include "core/estimators.h"
 #include "netlist/random_circuit.h"
 #include "placement/placement.h"
+#include "service/journal.h"
 
 namespace {
 
@@ -123,6 +125,34 @@ void BM_IntegralPolar(benchmark::State& state) {
   state.SetComplexityN(static_cast<long long>(side * side));
 }
 BENCHMARK(BM_IntegralPolar)->RangeMultiplier(4)->Range(8, 2048)->Complexity();
+
+void BM_JournalAppend(benchmark::State& state) {
+  // One batch's worth of terminal records into a fresh file journal: the
+  // time per append should not grow with the journal (one write + one
+  // fdatasync each).
+  const auto records = static_cast<std::size_t>(state.range(0));
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "rgleak_bench_journal.jsonl").string();
+  service::JobRecord rec;
+  rec.status = service::JobStatus::kSucceeded;
+  rec.attempts = 1;
+  rec.mean_na = 1.2345678901234567e6;
+  rec.sigma_na = 4.5e4;
+  rec.method = "linear";
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::remove(path.c_str());
+    service::Journal journal = service::Journal::open(path);
+    state.ResumeTiming();
+    for (std::size_t i = 0; i < records; ++i) {
+      rec.id = "job-" + std::to_string(i);
+      journal.append(rec);
+    }
+  }
+  std::remove(path.c_str());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * records));
+}
+BENCHMARK(BM_JournalAppend)->Arg(120)->Arg(480)->Arg(1920)->Unit(benchmark::kMillisecond)->Iterations(3);
 
 void BM_Characterization(benchmark::State& state) {
   // Cost of the one-time analytic characterization of the full library.
