@@ -96,6 +96,7 @@ CharacterizedLibrary load_characterization(const cells::StdCellLibrary& library,
     fail("unknown correlation family '" + family + "'", family);
   }
   process::ProcessVariation process(len, vt, std::move(corr), aniso);
+  const double var_l = len.sigma_total_nm() * len.sigma_total_nm();
 
   next_line("a cells line");
   std::istringstream cs(line);
@@ -136,6 +137,13 @@ CharacterizedLibrary load_characterization(const cells::StdCellLibrary& library,
         math::LogQuadraticModel m;
         ss >> m.a >> m.b >> m.c;
         if (!ss) fail("bad model triplet, expected 'model <a> <b> <c>'", line);
+        // The library expands every model into its Hermite series at load,
+        // which needs the leakage's first two moments at the file's sigma.
+        if (!(m.a > 0.0)) fail("bad model triplet, needs a > 0", line);
+        if (!(1.0 - 4.0 * m.c * var_l > 0.0))
+          fail("bad model triplet, its second moment diverges at the file's length sigma "
+               "(needs 1 - 4 c sigma^2 > 0)",
+               line);
         st.model = m;
       }
       cc.states[s] = st;

@@ -1,6 +1,5 @@
 #include "process/spatial_correlation.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "math/root.h"
@@ -45,13 +44,6 @@ double GaussianCorrelation::operator()(double d) const {
   return std::exp(-r * r);
 }
 
-void GaussianCorrelation::eval_many(const double* d, double* out, std::size_t n) const {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double r = d[i] / lc_;
-    out[i] = std::exp(-r * r);
-  }
-}
-
 double GaussianCorrelation::range_nm() const { return lc_ * std::sqrt(-std::log(kNegligible)); }
 
 LinearCorrelation::LinearCorrelation(double dmax_nm) : dmax_(dmax_nm) {
@@ -61,11 +53,6 @@ LinearCorrelation::LinearCorrelation(double dmax_nm) : dmax_(dmax_nm) {
 double LinearCorrelation::operator()(double d) const {
   check_distance(d);
   return d >= dmax_ ? 0.0 : 1.0 - d / dmax_;
-}
-
-// Clamping r at 1 gives the support cut-off's exact 0.0 without a branch.
-void LinearCorrelation::eval_many(const double* d, double* out, std::size_t n) const {
-  for (std::size_t i = 0; i < n; ++i) out[i] = 1.0 - std::min(d[i] / dmax_, 1.0);
 }
 
 SphericalCorrelation::SphericalCorrelation(double dmax_nm) : dmax_(dmax_nm) {
@@ -79,13 +66,6 @@ double SphericalCorrelation::operator()(double d) const {
   return 1.0 - 1.5 * r + 0.5 * r * r * r;
 }
 
-void SphericalCorrelation::eval_many(const double* d, double* out, std::size_t n) const {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double r = std::min(d[i] / dmax_, 1.0);  // r = 1 evaluates to exactly 0.0
-    out[i] = 1.0 - 1.5 * r + 0.5 * r * r * r;
-  }
-}
-
 Matern32Correlation::Matern32Correlation(double correlation_length_nm)
     : lc_(correlation_length_nm) {
   RGLEAK_REQUIRE(lc_ > 0.0, "correlation length must be positive");
@@ -95,13 +75,6 @@ double Matern32Correlation::operator()(double d) const {
   check_distance(d);
   const double r = std::sqrt(3.0) * d / lc_;
   return (1.0 + r) * std::exp(-r);
-}
-
-void Matern32Correlation::eval_many(const double* d, double* out, std::size_t n) const {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double r = std::sqrt(3.0) * d[i] / lc_;
-    out[i] = (1.0 + r) * std::exp(-r);
-  }
 }
 
 double Matern32Correlation::range_nm() const {
@@ -121,10 +94,6 @@ PowerExponentialCorrelation::PowerExponentialCorrelation(double correlation_leng
 double PowerExponentialCorrelation::operator()(double d) const {
   check_distance(d);
   return std::exp(-std::pow(d / lc_, p_));
-}
-
-void PowerExponentialCorrelation::eval_many(const double* d, double* out, std::size_t n) const {
-  for (std::size_t i = 0; i < n; ++i) out[i] = std::exp(-std::pow(d[i] / lc_, p_));
 }
 
 double PowerExponentialCorrelation::range_nm() const {

@@ -20,9 +20,9 @@ class SpatialCorrelation {
   virtual double operator()(double distance_nm) const = 0;
 
   /// out[i] = (*this)(d[i]) for i < n, bit for bit; `d` and `out` may be the
-  /// same array. The distances must be non-negative (not checked here). The
-  /// default is a scalar loop; the closed-form families override it with a
-  /// branch-free loop.
+  /// same array. The distances must be non-negative. The default is a scalar
+  /// loop; ExponentialCorrelation, the kernel of every perfbench workload,
+  /// overrides it with a branch-free loop that does not check them.
   virtual void eval_many(const double* d, double* out, std::size_t n) const;
 
   /// Distance at which the correlation is (effectively) zero; used by the
@@ -52,7 +52,6 @@ class GaussianCorrelation final : public SpatialCorrelation {
  public:
   explicit GaussianCorrelation(double correlation_length_nm);
   double operator()(double d) const override;
-  void eval_many(const double* d, double* out, std::size_t n) const override;
   double range_nm() const override;
   std::string name() const override { return "gaussian"; }
 
@@ -68,7 +67,6 @@ class LinearCorrelation final : public SpatialCorrelation {
  public:
   explicit LinearCorrelation(double dmax_nm);
   double operator()(double d) const override;
-  void eval_many(const double* d, double* out, std::size_t n) const override;
   double range_nm() const override { return dmax_; }
   std::string name() const override { return "linear"; }
 
@@ -82,7 +80,6 @@ class SphericalCorrelation final : public SpatialCorrelation {
  public:
   explicit SphericalCorrelation(double dmax_nm);
   double operator()(double d) const override;
-  void eval_many(const double* d, double* out, std::size_t n) const override;
   double range_nm() const override { return dmax_; }
   std::string name() const override { return "spherical"; }
 
@@ -97,7 +94,6 @@ class Matern32Correlation final : public SpatialCorrelation {
  public:
   explicit Matern32Correlation(double correlation_length_nm);
   double operator()(double d) const override;
-  void eval_many(const double* d, double* out, std::size_t n) const override;
   double range_nm() const override;
   std::string name() const override { return "matern32"; }
 
@@ -112,7 +108,6 @@ class PowerExponentialCorrelation final : public SpatialCorrelation {
  public:
   PowerExponentialCorrelation(double correlation_length_nm, double power);
   double operator()(double d) const override;
-  void eval_many(const double* d, double* out, std::size_t n) const override;
   double range_nm() const override;
   std::string name() const override { return "powerexp"; }
   double power() const { return p_; }

@@ -17,6 +17,13 @@
 // That is what makes the journal crash-only: the recovery path IS the
 // normal open path.
 //
+// The contract covers the death of the process (SIGKILL, a crash) at any
+// instant: the kernel keeps every write() it has accepted. It does not cover
+// a power loss during an append whose fdatasync has not returned: the disk
+// may then hold the file's new length but only part of the record's bytes,
+// a complete last line that fails its CRC. open() refuses it like any other
+// bad line, and the batch resumes only once that line is removed by hand.
+//
 // Append failures (disk full, injected io failpoints) do not kill the batch:
 // the record stays in memory and the failure is counted (the batch summary
 // reports it). The next append, or flush(), heals the file: it truncates it

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "../test_util.h"
 #include "util/require.h"
@@ -110,6 +111,26 @@ TEST(CharIo, RejectsTruncatedFile) {
     FAIL() << "expected ParseError";
   } catch (const ParseError& e) {
     EXPECT_GT(e.line(), 1u);
+  }
+}
+
+// The library expands every model into its Hermite series at load; a triplet
+// whose leakage moments do not exist at the file's sigma is refused at its own
+// line, not deep inside that expansion.
+TEST(CharIo, CorpusModelTripletsWithoutMomentsFailWithLocatedParseError) {
+  const struct {
+    const char* file;
+    std::size_t line;
+  } cases[] = {{"bad_model_nonpositive_a.rgchar", 9}, {"bad_model_diverging_moments.rgchar", 30}};
+  for (const auto& c : cases) {
+    const std::string path = std::string(RGLEAK_CHARLIB_CORPUS_DIR) + "/" + c.file;
+    try {
+      (void)load_characterization(mini_library(), path);
+      ADD_FAILURE() << c.file << ": expected ParseError";
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.source(), path);
+      EXPECT_EQ(e.line(), c.line) << c.file;
+    }
   }
 }
 
